@@ -194,14 +194,16 @@ def cmd_train(args) -> int:
     import time
     from pathlib import Path
 
-    from .config import parse_model_config, parse_optim_config
+    from .config import ConfigError, parse_model_config, parse_optim_config
     from .model import build_model, load_checkpoint, save_checkpoint
-    from .train import (build_report, collect_outputs, predictions_correct,
-                        select_thresholds, train_loop)
+    from .train import build_report, collect_outputs, select_thresholds, train_loop
 
     merged = _load_run_config(args)
     model_cfg = parse_model_config(merged["model"])
     optim_cfg = parse_optim_config(merged["optim"])
+    if optim_cfg.undersample and model_cfg.task == "multilabel":
+        raise ConfigError("optim.undersample: majority-class undersampling needs "
+                          "one class per record, not a multilabel task")
     seed = int(merged["seed"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,12 +245,15 @@ def cmd_eval(args) -> int:
 
     import numpy as np
 
+    from .config import ConfigError
     from .data import load_bsg1
     from .graphlearn import write_adjacency_csv
-    from .metrics import class_mean_adjacency, delta_permutation_test, delta_stats
+    from .metrics import MetricError, class_mean_adjacency, delta_permutation_test, delta_stats
     from .model import load_checkpoint
     from .train import build_report, collect_outputs, predictions_correct, select_thresholds
 
+    if args.permutations < 1:
+        raise ConfigError(f"--permutations must be >= 1, got {args.permutations}")
     model, extra = load_checkpoint(args.checkpoint)
     dataset = load_bsg1(args.data)
     out_dir = Path(args.out)
@@ -276,8 +281,8 @@ def cmd_eval(args) -> int:
                     entry.update(delta_permutation_test(
                         outputs.graphs, classes, correct, a, b,
                         n_permutations=args.permutations, seed=0))
-                except Exception:
-                    pass
+                except MetricError as exc:
+                    entry["error"] = str(exc)
                 table[f"{a}-{b}"] = entry
         _write_json(out_dir / "adjacency_delta.json", table)
     print(f"wrote metrics to {out_dir / 'metrics.json'}")

@@ -1,4 +1,4 @@
-"""Synthetic task generators, record containers, binary/CSV ingestion,
+"""Synthetic task generators, record containers, BSG1 binary I/O,
 splits, and class balancing.
 
 Two generators make the model's mechanisms falsifiable at desk scale:
@@ -289,7 +289,7 @@ def undersample_majority(records: list, rng: np.random.Generator) -> list:
     return [records[i] for i in keep]
 
 
-# -- binary + CSV I/O --------------------------------------------------------
+# -- binary I/O --------------------------------------------------------
 
 
 def _label_block(record: SignalRecord, task: str, n_classes: int) -> bytes:
@@ -373,53 +373,6 @@ def load_bsg1(path) -> Dataset:
     for rid, y, x in entries:
         t = x.shape[1]
         padded = np.zeros((x.shape[0], t_max, x.shape[2]))
-        padded[:, :t] = x
-        records.append(SignalRecord(x=padded, y=y, mask=np.arange(t_max) < t,
-                                    true_length=t, record_id=rid))
-    return Dataset(records=records, task=task, n_classes=n_classes)
-
-
-def save_csv_dir(dataset: Dataset, directory) -> None:
-    """One CSV per record (rows = time, cols = sensors; feature 0 only) plus
-    a labels.csv manifest."""
-    from pathlib import Path
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "labels.csv", "w") as fh:
-        fh.write("record_id,label\n")
-        for rec in dataset.records:
-            label = (";".join(str(int(v)) for v in np.atleast_1d(np.asarray(rec.y)))
-                     if dataset.task == "multilabel" else str(int(rec.y)))
-            fh.write(f"{rec.record_id},{label}\n")
-            t = rec.true_length
-            np.savetxt(directory / f"{rec.record_id}.csv",
-                       rec.x[:, :t, 0].T, delimiter=",", fmt="%.9g")
-
-
-def load_csv_dir(directory, task: str = "binary", n_classes: int = 2) -> Dataset:
-    from pathlib import Path
-    directory = Path(directory)
-    manifest = directory / "labels.csv"
-    if not manifest.exists():
-        raise ParseError(f"missing manifest {manifest}")
-    rows = manifest.read_text().strip().split("\n")[1:]
-    entries = []
-    for row in rows:
-        rid, label = row.split(",", 1)
-        values = np.loadtxt(directory / f"{rid}.csv", delimiter=",", ndmin=2)
-        x = values.T[:, :, None]  # (N, T, 1)
-        if task == "multilabel":
-            y = np.array([int(v) for v in label.split(";")], dtype=np.int64)
-        else:
-            y = int(label)
-        entries.append((rid, y, x))
-    if not entries:
-        return Dataset(records=[], task=task, n_classes=n_classes)
-    t_max = max(x.shape[1] for _, _, x in entries)
-    records = []
-    for rid, y, x in entries:
-        t = x.shape[1]
-        padded = np.zeros((x.shape[0], t_max, 1))
         padded[:, :t] = x
         records.append(SignalRecord(x=padded, y=y, mask=np.arange(t_max) < t,
                                     true_length=t, record_id=rid))

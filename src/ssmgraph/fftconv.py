@@ -23,17 +23,6 @@ def _next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def fft_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real-input FFT along the last axis, returned as a (re, im) pair."""
-    spec = sfft.rfft(np.asarray(x, dtype=np.float64), axis=-1, workers=FFT_WORKERS)
-    return spec.real, spec.imag
-
-
-def fft_inverse(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`fft_forward` for an original length-``n`` signal."""
-    return sfft.irfft(re + 1j * im, n=n, axis=-1, workers=FFT_WORKERS)
-
-
 def conv1d_fft(signal, kernel) -> Tensor:
     """Causal convolution y[t] = sum_{s<=t} kernel[s] * signal[t-s].
 

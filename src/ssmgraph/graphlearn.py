@@ -57,24 +57,6 @@ class GslConfig:
             raise ContractError(f"heads must be >= 1, got {self.heads}")
 
 
-@dataclass
-class DynamicGraphSet:
-    """Learned adjacency matrices for one record: (n_d, N, N), entries in [0,1]."""
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        if self.adjacency.ndim != 3 or self.adjacency.shape[1] != self.adjacency.shape[2]:
-            raise ShapeError(f"adjacency must be (n_d, N, N), got {self.adjacency.shape}")
-
-    @property
-    def n_d(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.adjacency.shape[1]
-
-
 def num_intervals(t_len: int, r) -> int:
     if r == FULL_INTERVAL:
         return 1

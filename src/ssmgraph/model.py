@@ -10,7 +10,8 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from . import tensor as T
 from .gnn import ClassifierHead, GinLayer, PoolSpec, temporal_graph_readout
 from .graphlearn import (FULL_INTERVAL, GslConfig, GslLayer, RegWeights,
                          interval_mean_pool, num_intervals, reg_loss_total)
-from .rnn import GruEncoder
-from .s4 import S4Encoder
+from .rnn import GruLayer
+from .s4 import S4Layer
 from .tensor import ContractError, ShapeError, Tensor
 
 TASKS = ("binary", "multiclass", "multilabel")
@@ -97,6 +98,60 @@ class ModelOutput:
         return self.graphs.shape[1]
 
 
+class SequenceEncoder:
+    """Shared-weight per-channel encoder: (B, N, T, M) -> (B, N, T, D).
+
+    Every sensor sequence runs through the same input projection and layer
+    stack (S4 blocks or GRU layers), so permuting sensors permutes outputs
+    identically. ``make_layer(rng)`` builds one layer; layers are drawn after
+    the projection. A timestep mask re-zeroes padded positions after the
+    projection and after every layer, and each layer receives it too, which
+    keeps padded records identical to their truncated versions.
+    """
+
+    def __init__(self, input_dim: int, d_model: int, depth: int, make_layer,
+                 rng: np.random.Generator, dtype=np.float64):
+        self.input_dim = input_dim
+        self.d_model = d_model
+        sd = max(input_dim, 1) ** -0.5
+        self.w_in = Tensor(rng.normal(0.0, sd, (input_dim, d_model)), requires_grad=True, dtype=dtype)
+        self.b_in = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
+        self.layers = [make_layer(rng) for _ in range(depth)]
+
+    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+        out = [(prefix + "w_in", self.w_in), (prefix + "b_in", self.b_in)]
+        for i, layer in enumerate(self.layers):
+            out += layer.named_parameters(f"{prefix}layers.{i}.")
+        return out
+
+    def assert_stable(self) -> None:
+        for layer in self.layers:
+            layer.assert_stable()
+
+    def encode(self, x: Tensor, mask: np.ndarray | None = None, train: bool = False,
+               rng: np.random.Generator | None = None) -> Tensor:
+        if x.ndim != 4:
+            raise ShapeError(f"encoder expects (B, N, T, M), got {x.shape}")
+        batch, n_sensors, length, m = x.shape
+        if m != self.input_dim:
+            raise ShapeError(f"input width {m} != configured {self.input_dim}")
+        h = x.reshape((batch * n_sensors, length, m)) @ self.w_in + self.b_in
+        mask_flat = None
+        if mask is not None:
+            mask_arr = np.asarray(mask, dtype=h.dtype)
+            if mask_arr.shape != (batch, length):
+                raise ShapeError(f"mask shape {mask_arr.shape} != (B, T)")
+            if not np.all(mask_arr == 1.0):  # an unpadded batch needs no masking
+                mask_flat = Tensor(np.repeat(mask_arr[:, None, :, None], n_sensors, axis=1)
+                                   .reshape(batch * n_sensors, length, 1))
+                h = h * mask_flat
+        for layer in self.layers:
+            h = layer.forward(h, train=train, rng=rng, mask=mask_flat)
+            if mask_flat is not None:
+                h = h * mask_flat
+        return h.reshape((batch, n_sensors, length, self.d_model))
+
+
 class SsmGraphModel:
     """Sequence-then-graph classifier over multivariate sensor signals."""
 
@@ -104,12 +159,14 @@ class SsmGraphModel:
         self.cfg = cfg
         dtype = cfg.np_dtype
         if cfg.encoder == "s4":
-            self.encoder = S4Encoder(cfg.input_dim, cfg.d_model, cfg.s4_depth, cfg.p_states,
-                                     rng, cfg.bidirectional, cfg.dropout, dtype,
-                                     cfg.dt_min, cfg.dt_max)
+            make_layer = partial(S4Layer, cfg.d_model, cfg.p_states,
+                                 bidirectional=cfg.bidirectional, dropout=cfg.dropout,
+                                 dtype=dtype, dt_min=cfg.dt_min, dt_max=cfg.dt_max)
         else:
-            self.encoder = GruEncoder(cfg.input_dim, cfg.d_model, cfg.s4_depth, rng,
-                                      cfg.dropout, dtype)
+            make_layer = partial(GruLayer, cfg.d_model, cfg.d_model,
+                                 dropout=cfg.dropout, dtype=dtype)
+        self.encoder = SequenceEncoder(cfg.input_dim, cfg.d_model, cfg.s4_depth, make_layer,
+                                       rng, dtype)
         self.gsl = GslLayer(cfg.d_model, cfg.gsl, rng, dtype) if cfg.use_gsl else None
         self.gin = GinLayer(cfg.d_model, rng, cfg.dropout, dtype) if cfg.use_gnn else None
         self.head = ClassifierHead(cfg.d_model, cfg.n_classes, rng, dtype)
@@ -231,30 +288,9 @@ def profile(cfg: ModelConfig, t_len: int, seed: int = 0) -> dict:
 # -- checkpoint I/O ---------------------------------------------------------
 
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "n_sensors": cfg.n_sensors, "input_dim": cfg.input_dim, "d_model": cfg.d_model,
-        "s4_depth": cfg.s4_depth, "p_states": cfg.p_states,
-        "bidirectional": cfg.bidirectional, "dropout": cfg.dropout,
-        "encoder": cfg.encoder, "use_gsl": cfg.use_gsl, "use_gnn": cfg.use_gnn,
-        "gsl": {"r": cfg.gsl.r, "knn_k": cfg.gsl.knn_k, "epsilon": cfg.gsl.epsilon,
-                "kappa": cfg.gsl.kappa, "heads": cfg.gsl.heads},
-        "reg": {"alpha": cfg.reg.alpha, "beta": cfg.reg.beta, "gamma": cfg.reg.gamma},
-        "pool": {"graph_pool": cfg.pool.graph_pool, "temporal_pool": cfg.pool.temporal_pool},
-        "n_classes": cfg.n_classes, "task": cfg.task,
-        "fixed_graph": cfg.fixed_graph, "dtype": cfg.dtype,
-        "dt_min": cfg.dt_min, "dt_max": cfg.dt_max,
-    }
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    from .config import parse_model_config
-    return parse_model_config(d)
-
-
 def save_checkpoint(model: SsmGraphModel, path, extra: dict | None = None) -> bytes:
     """Write magic, version, embedded config JSON, then named f32 tensors."""
-    payload = {"config": _config_to_dict(model.cfg)}
+    payload = {"config": asdict(model.cfg)}
     if extra:
         payload["extra"] = extra
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -305,7 +341,8 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     blob_len = struct.unpack("<I", need(4))[0]
     payload = json.loads(need(blob_len).decode("utf-8"))
-    cfg = config_from_dict(payload["config"])
+    from .config import parse_model_config  # config imports this module
+    cfg = parse_model_config(payload["config"])
     model = build_model(cfg, seed=0)
     params = dict(model.named_parameters())
     n_tensors = struct.unpack("<I", need(4))[0]

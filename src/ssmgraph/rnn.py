@@ -1,5 +1,6 @@
-"""Gated recurrent encoder used as the sequence-model ablation.
+"""Gated recurrent layer, the sequence-model ablation of the S4 block.
 
+``GruLayer`` plugs into the same per-channel encoder stack as ``S4Layer``.
 The whole recurrence is one fused tape op: the forward pass runs a numpy
 loop over time and caches gate activations, and the backward rule replays
 them in reverse (truncated nowhere, full BPTT).
@@ -93,7 +94,11 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tens
 
 
 class GruLayer:
-    def __init__(self, d_in: int, d_model: int, rng: np.random.Generator, dtype=np.float64):
+    """GRU over (B, T, In) followed by dropout on its hidden states."""
+
+    def __init__(self, d_in: int, d_model: int, rng: np.random.Generator,
+                 dropout: float = 0.0, dtype=np.float64):
+        self.dropout = dropout
         sd = d_model ** -0.5
         self.w_ih = Tensor(rng.normal(0.0, sd, (d_in, 3 * d_model)), requires_grad=True, dtype=dtype)
         self.w_hh = Tensor(rng.normal(0.0, sd, (d_model, 3 * d_model)), requires_grad=True, dtype=dtype)
@@ -104,50 +109,11 @@ class GruLayer:
         names = ["w_ih", "w_hh", "b_ih", "b_hh"]
         return [(prefix + n, getattr(self, n)) for n in names]
 
-    def forward(self, x: Tensor) -> Tensor:
-        return gru_sequence(x, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
-
-
-class GruEncoder:
-    """Drop-in replacement for the S4 encoder: (B, N, T, M) -> (B, N, T, D)."""
-
-    def __init__(self, input_dim: int, d_model: int, depth: int,
-                 rng: np.random.Generator, dropout: float = 0.0, dtype=np.float64):
-        self.input_dim = input_dim
-        self.d_model = d_model
-        self.dropout = dropout
-        sd = max(input_dim, 1) ** -0.5
-        self.w_in = Tensor(rng.normal(0.0, sd, (input_dim, d_model)), requires_grad=True, dtype=dtype)
-        self.b_in = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
-        self.layers = [GruLayer(d_model, d_model, rng, dtype) for _ in range(depth)]
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        out = [(prefix + "w_in", self.w_in), (prefix + "b_in", self.b_in)]
-        for i, layer in enumerate(self.layers):
-            out += layer.named_parameters(f"{prefix}layers.{i}.")
-        return out
-
     def assert_stable(self) -> None:
         pass  # gated recurrences have no pole constraint to enforce
 
-    def encode(self, x: Tensor, mask: np.ndarray | None = None, train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        if x.ndim != 4:
-            raise ShapeError(f"encoder expects (B, N, T, M), got {x.shape}")
-        batch, n_sensors, t_len, m = x.shape
-        if m != self.input_dim:
-            raise ShapeError(f"input width {m} != configured {self.input_dim}")
-        h = x.reshape((batch * n_sensors, t_len, m)) @ self.w_in + self.b_in
-        mask_flat = None
-        if mask is not None:
-            mask_arr = np.asarray(mask, dtype=h.dtype)
-            if mask_arr.shape != (batch, t_len):
-                raise ShapeError(f"mask shape {mask_arr.shape} != (B, T)")
-            mask_flat = Tensor(np.repeat(mask_arr[:, None, :, None], n_sensors, axis=1)
-                               .reshape(batch * n_sensors, t_len, 1))
-            h = h * mask_flat
-        for layer in self.layers:
-            h = T.dropout(layer.forward(h), self.dropout, rng, train)
-            if mask_flat is not None:
-                h = h * mask_flat
-        return h.reshape((batch, n_sensors, t_len, self.d_model))
+    def forward(self, x: Tensor, train: bool = False,
+                rng: np.random.Generator | None = None, mask: Tensor | None = None) -> Tensor:
+        # causal: padded steps after a record's end never reach its valid outputs
+        h = gru_sequence(x, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
+        return T.dropout(h, self.dropout, rng, train)

@@ -1,6 +1,5 @@
-"""State-space sequence layers: diagonal (+ optional low-rank) SSM cores,
-bilinear discretization, convolution kernels, and the stacked per-channel
-encoder.
+"""State-space sequence layers: diagonal SSM cores, bilinear
+discretization, convolution kernels, and the pre-norm S4 block.
 
 A core holds the continuous-time parameters (A, B, C, D, dt) for a bank of
 ``d`` independent scalar-input/scalar-output systems, each with ``p`` complex
@@ -28,11 +27,7 @@ DT_MAX_DEFAULT = 1e-1
 
 
 class SsmCore:
-    """Bank of ``d`` diagonal state-space systems with ``p`` states each.
-
-    Optional rank-1 factors turn the state matrix into diag(lam) - p q^T;
-    that path is materialized naively for oracle checks and is not trained.
-    """
+    """Bank of ``d`` diagonal state-space systems with ``p`` states each."""
 
     def __init__(self, d: int, p: int, rng: np.random.Generator,
                  dt_min: float = DT_MIN_DEFAULT, dt_max: float = DT_MAX_DEFAULT,
@@ -50,19 +45,6 @@ class SsmCore:
         self.log_dt = Tensor(rng.uniform(np.log(dt_min), np.log(dt_max), (d,)),
                              requires_grad=True, dtype=dtype)
         self.d_skip = Tensor(rng.normal(0.0, 1.0, (d,)), requires_grad=True, dtype=dtype)
-        self.lowrank_p: np.ndarray | None = None  # complex (d, p) when set
-        self.lowrank_q: np.ndarray | None = None
-
-    @property
-    def is_dplr(self) -> bool:
-        return self.lowrank_p is not None
-
-    def set_lowrank(self, p_factor: np.ndarray, q_factor: np.ndarray) -> None:
-        """Attach fixed rank-1 factors; the core becomes diag(lam) - p q^T."""
-        if p_factor.shape != (self.d, self.p) or q_factor.shape != (self.d, self.p):
-            raise ShapeError("low-rank factors must have shape (d, p)")
-        self.lowrank_p = p_factor.astype(np.complex128)
-        self.lowrank_q = q_factor.astype(np.complex128)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         names = ["log_neg_re", "lam_im", "b_re", "b_im", "c_re", "c_im", "log_dt", "d_skip"]
@@ -82,27 +64,12 @@ class SsmCore:
     def dt_values(self) -> np.ndarray:
         return np.exp(self.log_dt.data)
 
-    def a_matrices(self) -> np.ndarray:
-        """Dense per-feature state matrices (d, p, p); identity-diag if diagonal."""
-        a = np.zeros((self.d, self.p, self.p), dtype=np.complex128)
-        idx = np.arange(self.p)
-        a[:, idx, idx] = self.lam_values()
-        if self.is_dplr:
-            a -= self.lowrank_p[:, :, None] * self.lowrank_q[:, None, :]
-        return a
-
     def assert_stable(self) -> None:
         """Discrete-time stability |a_bar| < 1 must hold for every state."""
-        if self.is_dplr:
-            a_bar, _ = discretize_bilinear_dplr(self)
-            radius = max(np.abs(np.linalg.eigvals(m)).max() for m in a_bar)
-            if radius >= 1.0:
-                raise T.NumericError(f"unstable DPLR core: spectral radius {radius:.6f}")
-        else:
-            a_bar, _ = discretize_bilinear(self)
-            worst = np.abs(a_bar).max()
-            if worst >= 1.0:
-                raise T.NumericError(f"unstable core: max |a_bar| = {worst:.6f}")
+        a_bar, _ = discretize_bilinear(self)
+        worst = np.abs(a_bar).max()
+        if worst >= 1.0:
+            raise T.NumericError(f"unstable core: max |a_bar| = {worst:.6f}")
 
 
 def discretize_bilinear(core: SsmCore) -> tuple[np.ndarray, np.ndarray]:
@@ -118,21 +85,6 @@ def discretize_bilinear(core: SsmCore) -> tuple[np.ndarray, np.ndarray]:
     if np.any(den == 0):
         raise T.NumericError("bilinear pole: dt*lam == 2")
     return (1.0 + u) / den, dt * core.b_values() / den
-
-
-def discretize_bilinear_dplr(core: SsmCore) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear map with the state matrix materialized densely (d, p, p)."""
-    a = core.a_matrices()
-    dt = core.dt_values()
-    eye = np.eye(core.p, dtype=np.complex128)
-    a_bar = np.empty_like(a)
-    b_bar = np.empty((core.d, core.p), dtype=np.complex128)
-    b = core.b_values()
-    for i in range(core.d):
-        left = np.linalg.inv(eye - (dt[i] / 2.0) * a[i])
-        a_bar[i] = left @ (eye + (dt[i] / 2.0) * a[i])
-        b_bar[i] = left @ (dt[i] * b[i])
-    return a_bar, b_bar
 
 
 def _kernel_diag_primitive(lam_re: Tensor, lam_im: Tensor, b_re: Tensor, b_im: Tensor,
@@ -196,22 +148,9 @@ def _kernel_diag_primitive(lam_re: Tensor, lam_im: Tensor, b_re: Tensor, b_im: T
 
 
 def materialize_kernel(core: SsmCore, length: int) -> Tensor:
-    """Length-``length`` convolution kernels, one row per feature: (d, L).
-
-    Diagonal cores are differentiable; DPLR cores are materialized naively
-    by repeated (p x p) multiplication and returned value-only.
-    """
+    """Differentiable length-``length`` convolution kernels, one row per feature: (d, L)."""
     if length < 1:
         raise ContractError(f"kernel length must be >= 1, got {length}")
-    if core.is_dplr:
-        a_bar, b_bar = discretize_bilinear_dplr(core)
-        c = core.c_values()
-        out = np.empty((core.d, length))
-        v = b_bar.copy()
-        for t in range(length):
-            out[:, t] = np.einsum("dp,dp->d", c, v).real
-            v = np.einsum("dpq,dq->dp", a_bar, v)
-        return Tensor(out.astype(core.c_re.dtype))
     lam_re = T.neg(T.exp(core.log_neg_re))
     dt = T.exp(core.log_dt)
     return _kernel_diag_primitive(lam_re, core.lam_im, core.b_re, core.b_im,
@@ -233,18 +172,11 @@ def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
     c = core.c_values()
     d_skip = core.d_skip.data.astype(np.float64)
     y = np.zeros((core.d, length))
-    if core.is_dplr:
-        a_bar, b_bar = discretize_bilinear_dplr(core)
-        x = np.zeros((core.d, core.p), dtype=np.complex128)
-        for t in range(length):
-            x = np.einsum("dpq,dq->dp", a_bar, x) + b_bar * u[:, t:t + 1]
-            y[:, t] = np.einsum("dp,dp->d", c, x).real + d_skip * u[:, t]
-    else:
-        a_bar, b_bar = discretize_bilinear(core)
-        x = np.zeros((core.d, core.p), dtype=np.complex128)
-        for t in range(length):
-            x = a_bar * x + b_bar * u[:, t:t + 1]
-            y[:, t] = (c * x).sum(axis=1).real + d_skip * u[:, t]
+    a_bar, b_bar = discretize_bilinear(core)
+    x = np.zeros((core.d, core.p), dtype=np.complex128)
+    for t in range(length):
+        x = a_bar * x + b_bar * u[:, t:t + 1]
+        y[:, t] = (c * x).sum(axis=1).real + d_skip * u[:, t]
     return y
 
 
@@ -252,7 +184,9 @@ class S4Layer:
     """Pre-norm S4 block: LN -> SSM conv (+skip) -> GLU gate -> dropout -> residual.
 
     Bidirectional mode adds a second core run over the time-reversed sequence;
-    both directions share the GLU output projection.
+    both directions share the GLU output projection. A timestep ``mask``
+    zeroes padded steps of the normalized signal before both convolutions,
+    so the reverse direction never reads past a record's true length.
     """
 
     def __init__(self, d_model: int, p_states: int, rng: np.random.Generator,
@@ -278,12 +212,19 @@ class S4Layer:
                 (prefix + "ln_gamma", self.ln_gamma), (prefix + "ln_beta", self.ln_beta)]
         return out
 
+    def assert_stable(self) -> None:
+        self.core.assert_stable()
+        if self.core_rev is not None:
+            self.core_rev.assert_stable()
+
     def forward(self, x: Tensor, train: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None, mask: Tensor | None = None) -> Tensor:
         if x.shape[-1] != self.d_model:
             raise ShapeError(f"layer width {self.d_model} != input width {x.shape[-1]}")
         length = x.shape[-2]
         z = T.layer_norm_lastdim(x, self.ln_gamma, self.ln_beta)
+        if mask is not None:
+            z = z * mask  # LayerNorm(0) = ln_beta at padded steps
         zt = z.swap_last2()                                   # (B, D, T)
         # folding d_skip into kernel[0] realizes y += d_skip*x inside the conv
         kernel = materialize_kernel(self.core, length)
@@ -299,64 +240,3 @@ class S4Layer:
         gate = T.glu_gate(proj)
         gate = T.dropout(gate, self.dropout, rng, train)
         return x + gate
-
-
-class S4Encoder:
-    """Shared-weight per-channel encoder: (B, N, T, M) -> (B, N, T, D).
-
-    Every sensor sequence runs through the same input projection and layer
-    stack, so permuting sensors permutes outputs identically. A timestep mask
-    re-zeroes padded positions after the projection and after every block,
-    which keeps padded records identical to their truncated versions.
-    """
-
-    def __init__(self, input_dim: int, d_model: int, depth: int, p_states: int,
-                 rng: np.random.Generator, bidirectional: bool = False,
-                 dropout: float = 0.0, dtype=np.float64,
-                 dt_min: float = DT_MIN_DEFAULT, dt_max: float = DT_MAX_DEFAULT):
-        self.input_dim = input_dim
-        self.d_model = d_model
-        sd = max(input_dim, 1) ** -0.5
-        self.w_in = Tensor(rng.normal(0.0, sd, (input_dim, d_model)), requires_grad=True, dtype=dtype)
-        self.b_in = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
-        self.layers = [S4Layer(d_model, p_states, rng, bidirectional, dropout, dtype,
-                               dt_min, dt_max)
-                       for _ in range(depth)]
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        out = [(prefix + "w_in", self.w_in), (prefix + "b_in", self.b_in)]
-        for i, layer in enumerate(self.layers):
-            out += layer.named_parameters(f"{prefix}layers.{i}.")
-        return out
-
-    def assert_stable(self) -> None:
-        for layer in self.layers:
-            layer.core.assert_stable()
-            if layer.core_rev is not None:
-                layer.core_rev.assert_stable()
-
-    def encode(self, x: Tensor, mask: np.ndarray | None = None, train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        if x.ndim != 4:
-            raise ShapeError(f"encoder expects (B, N, T, M), got {x.shape}")
-        batch, n_sensors, length, m = x.shape
-        if m != self.input_dim:
-            raise ShapeError(f"input width {m} != configured {self.input_dim}")
-        flat = x.reshape((batch * n_sensors, length, m))
-        h = flat @ self.w_in + self.b_in
-        mask_flat = None
-        if mask is not None:
-            mask_arr = np.asarray(mask, dtype=h.dtype)
-            if mask_arr.shape != (batch, length):
-                raise ShapeError(f"mask shape {mask_arr.shape} != (B, T)")
-            if np.all(mask_arr == 1.0):
-                mask_arr = None  # unpadded batch: masking is a no-op
-            else:
-                mask_flat = Tensor(np.repeat(mask_arr[:, None, :, None], n_sensors, axis=1)
-                                   .reshape(batch * n_sensors, length, 1))
-                h = h * mask_flat
-        for layer in self.layers:
-            h = layer.forward(h, train=train, rng=rng)
-            if mask_flat is not None:
-                h = h * mask_flat
-        return h.reshape((batch, n_sensors, length, self.d_model))

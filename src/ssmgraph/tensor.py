@@ -80,9 +80,6 @@ class Tensor:
         """Copy of the underlying values, detached from the tape."""
         return self.data.copy()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})\n{self.data!r}"

@@ -23,6 +23,7 @@ class EvalOutputs:
     labels: np.ndarray
     graphs: list                # per-record (n_d, N, N)
     record_ids: list
+    total_loss: float           # batch-weighted mean of model.total_loss
 
 
 @dataclass
@@ -47,22 +48,25 @@ def _batches(n: int, batch_size: int):
 
 
 def collect_outputs(model: SsmGraphModel, dataset: Dataset, batch_size: int = 32) -> EvalOutputs:
-    """Deterministic forward over a dataset, gradient-free."""
+    """Deterministic forward over a dataset, gradient-free: scores, graphs
+    and the loss all come from the same logits."""
     scores = []
     graphs = []
     ids = []
+    total = 0.0
     with T.no_grad():
         for idx in _batches(len(dataset), batch_size):
             records = [dataset.records[i] for i in idx]
-            x, _, mask = collate(records, dtype=model.cfg.np_dtype)
+            x, y, mask = collate(records, dtype=model.cfg.np_dtype)
             out = model.forward(x, mask=mask)
+            total += model.total_loss(out, y).item() * len(records)
             s = model.scores(out.logits.data)
             scores.append(s[:, 0] if model.cfg.task == "binary" else s)
             graphs.extend(out.graphs[i] for i in range(len(records)))
             ids.extend(r.record_id for r in records)
     return EvalOutputs(scores=np.concatenate(scores, axis=0),
                        labels=dataset.labels_matrix(),
-                       graphs=graphs, record_ids=ids)
+                       graphs=graphs, record_ids=ids, total_loss=total / len(dataset))
 
 
 def validation_metric(model: SsmGraphModel, outputs: EvalOutputs) -> float:
@@ -82,14 +86,9 @@ def validation_metric(model: SsmGraphModel, outputs: EvalOutputs) -> float:
 
 
 def validation_loss(model: SsmGraphModel, dataset: Dataset, batch_size: int) -> float:
-    total = 0.0
-    with T.no_grad():
-        for idx in _batches(len(dataset), batch_size):
-            records = [dataset.records[i] for i in idx]
-            x, y, mask = collate(records, dtype=model.cfg.np_dtype)
-            out = model.forward(x, mask=mask)
-            total += model.total_loss(out, y).item() * len(records)
-    return total / len(dataset)
+    """The validation loss alone; ``train_loop`` reads it from the
+    ``collect_outputs`` pass it already makes."""
+    return collect_outputs(model, dataset, batch_size).total_loss
 
 
 def select_thresholds(model: SsmGraphModel, outputs: EvalOutputs):
@@ -162,8 +161,8 @@ def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,
             epoch_loss += loss.item() * len(batch)
             seen += len(batch)
         train_loss = epoch_loss / seen
-        val_loss = validation_loss(model, val_ds, cfg.batch_size)
         val_outputs = collect_outputs(model, val_ds, cfg.batch_size)
+        val_loss = val_outputs.total_loss
         val_metric = validation_metric(model, val_outputs)
         history.append((epoch, lr, train_loss, val_loss, val_metric))
         if log:

@@ -109,6 +109,38 @@ class TestTrainEval:
         csvs = list(eval_dir.glob("mean_adj_class*.csv"))
         assert len(csvs) >= 1
 
+    def test_adj_analysis_records_metric_errors(self, tiny_run, monkeypatch):
+        import ssmgraph.metrics
+        from ssmgraph.metrics import MetricError
+
+        tmp_path, cfg_path, data_path = tiny_run
+        out_dir = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"])
+
+        def no_correct_records(*args, **kwargs):
+            raise MetricError("both classes need at least one correct record")
+
+        monkeypatch.setattr(ssmgraph.metrics, "delta_permutation_test", no_correct_records)
+        eval_dir = tmp_path / "eval-adj"
+        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
+                   "--data", str(data_path), "--out", str(eval_dir), "--adj-analysis"])
+        assert rc == 0
+        table = json.loads((eval_dir / "adjacency_delta.json").read_text())
+        assert table
+        for entry in table.values():
+            assert entry["error"] == "both classes need at least one correct record"
+            assert "p_value" not in entry
+
+    def test_nonpositive_permutations_exit_2(self, tiny_run, capsys):
+        tmp_path, cfg_path, data_path = tiny_run
+        out_dir = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"])
+        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
+                   "--data", str(data_path), "--out", str(tmp_path / "eval"),
+                   "--adj-analysis", "--permutations", "-1"])
+        assert rc == 2
+        assert "--permutations" in capsys.readouterr().err
+
     def test_set_override(self, tiny_run):
         tmp_path, cfg_path, _ = tiny_run
         out_dir = tmp_path / "run-override"
@@ -198,6 +230,29 @@ class TestErrors:
         bad.write_text(json.dumps({"model": {}, "data": {}, "seed": 0}))
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_undersample_multilabel_exit_2(self, tmp_path, capsys):
+        from ssmgraph.data import Dataset, SignalRecord, save_bsg1
+
+        rng = np.random.default_rng(0)
+        for split in ("train", "val"):
+            records = [SignalRecord(x=rng.normal(size=(3, 16, 1)), y=rng.integers(0, 2, 3),
+                                    mask=np.ones(16, dtype=bool), true_length=16,
+                                    record_id=f"{split}{i}") for i in range(4)]
+            save_bsg1(Dataset(records=records, task="multilabel", n_classes=3),
+                      tmp_path / f"{split}.bsg1")
+        config = {
+            "model": {"n_sensors": 3, "d_model": 4, "s4_depth": 1, "p_states": 2,
+                      "gsl": {"r": "full", "knn_k": 1, "heads": 1},
+                      "n_classes": 3, "task": "multilabel"},
+            "optim": {"epochs": 1, "warmup_epochs": 0, "undersample": True},
+            "data": {"train": str(tmp_path / "train.bsg1"), "val": str(tmp_path / "val.bsg1")},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 2
+        assert "optim.undersample" in capsys.readouterr().err
 
     def test_bad_dataset_file_exit_2(self, tmp_path):
         junk = tmp_path / "junk.bsg1"

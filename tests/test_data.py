@@ -1,13 +1,12 @@
-"""Synthetic generators, BSG1/CSV round trips, splits, and balancing."""
+"""Synthetic generators, BSG1 round trips, splits, and balancing."""
 
 import numpy as np
 import pytest
 
 from ssmgraph.data import (Dataset, DatasetSpec, ParseError, SignalRecord,
                            collate, gen_correlation_task, gen_longrange_task,
-                           generate, load_bsg1, load_csv_dir, marker_length,
-                           marker_template, save_bsg1, save_csv_dir,
-                           stratified_split, undersample_majority)
+                           generate, load_bsg1, marker_length, marker_template,
+                           save_bsg1, stratified_split, undersample_majority)
 
 
 def corr_spec(**kw):
@@ -164,22 +163,6 @@ class TestBsg1:
         (tmp_path / "cut.bsg1").write_bytes(raw[:-9])
         with pytest.raises(ParseError, match="byte"):
             load_bsg1(tmp_path / "cut.bsg1")
-
-
-class TestCsv:
-    def test_roundtrip(self, tmp_path, rng):
-        ds = generate(corr_spec(size=4, t_len=32))
-        save_csv_dir(ds, tmp_path / "csvs")
-        loaded = load_csv_dir(tmp_path / "csvs")
-        assert len(loaded) == 4
-        for a, b in zip(ds.records, loaded.records):
-            assert a.record_id == b.record_id
-            assert a.y == b.y
-            np.testing.assert_allclose(a.x[:, :, 0], b.x[:, :, 0], rtol=1e-6)
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_csv_dir(tmp_path)
 
 
 class TestSplitsAndBalance:

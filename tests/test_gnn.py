@@ -1,12 +1,15 @@
 """GIN layer, readout pooling, classifier head, and the GRU ablation encoder."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from ssmgraph import tensor as T
 from ssmgraph.gnn import ClassifierHead, GinLayer, PoolSpec, temporal_graph_readout
 from ssmgraph.gradcheck import backward_and_gradcheck
-from ssmgraph.rnn import GruEncoder, GruLayer, gru_sequence
+from ssmgraph.model import SequenceEncoder
+from ssmgraph.rnn import GruLayer, gru_sequence
 from ssmgraph.tensor import ContractError, Tensor
 
 
@@ -136,6 +139,11 @@ class TestClassifierHead:
         assert worst <= 1e-6, per
 
 
+def gru_encoder(input_dim, d_model, depth, rng):
+    layer = partial(GruLayer, d_model, d_model)
+    return SequenceEncoder(input_dim, d_model, depth, layer, rng)
+
+
 class TestGru:
     def test_output_shape(self, rng):
         layer = GruLayer(3, 5, rng)
@@ -181,13 +189,16 @@ class TestGru:
         assert worst <= 1e-6, per
 
     def test_encoder_interface(self, rng):
-        enc = GruEncoder(1, 4, 2, rng)
+        enc = gru_encoder(1, 4, 2, rng)
         x = rng.normal(size=(2, 3, 10, 1))
         out = enc.encode(Tensor(x))
         assert out.shape == (2, 3, 10, 4)
 
     def test_encoder_masked_equals_truncated(self, rng):
-        enc = GruEncoder(1, 4, 2, np.random.default_rng(3))
+        enc = gru_encoder(1, 4, 2, np.random.default_rng(3))
+        for layer in enc.layers:  # non-zero biases, as after training
+            layer.b_ih.data[:] = rng.normal(size=12)
+            layer.b_hh.data[:] = rng.normal(size=12)
         x = rng.normal(size=(1, 2, 12, 1))
         x[:, :, 8:] = 0.0
         mask = np.zeros((1, 12))

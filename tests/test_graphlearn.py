@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ssmgraph.gradcheck import backward_and_gradcheck
-from ssmgraph.graphlearn import (DEG_EPS, DynamicGraphSet, GslConfig, GslLayer,
-                                 RegWeights, attention_adjacency, degree_loss,
+from ssmgraph.graphlearn import (DEG_EPS, GslConfig, GslLayer, RegWeights,
+                                 attention_adjacency, degree_loss,
                                  finalize_adjacency, interval_mean_pool,
                                  knn_graph_cosine, num_intervals,
                                  reg_loss_total, smoothness_loss,
@@ -278,12 +278,6 @@ class TestGslLayer:
     def test_graph_count(self, rng):
         assert num_intervals(2048, 256) == 8
         assert num_intervals(2048, 2048) == 1
-
-    def test_dynamic_graph_set_shape(self):
-        with pytest.raises(Exception):
-            DynamicGraphSet(np.ones((2, 3)))
-        gs = DynamicGraphSet(np.ones((2, 4, 4)))
-        assert gs.n_d == 2 and gs.n_nodes == 4
 
     def test_csv_export(self, rng, tmp_path):
         w = rng.uniform(size=(3, 3))

@@ -1,0 +1,36 @@
+"""Declared dependencies cover every third-party import of the package."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def declared_dependencies() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower()
+            for req in project["dependencies"]}
+
+
+def imported_top_level_modules() -> set[str]:
+    names = set()
+    for path in (ROOT / "src" / "ssmgraph").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_third_party_imports_are_declared():
+    third_party = {name for name in imported_top_level_modules()
+                   if name not in sys.stdlib_module_names and name != "ssmgraph"}
+    assert third_party  # numpy and scipy at least
+    assert third_party <= declared_dependencies()

@@ -138,6 +138,24 @@ class TestTrainLoop:
         np.testing.assert_allclose(validation_metric(model, outputs),
                                    result.best_metric, atol=1e-12)
 
+    def test_val_loss_is_batch_weighted_mean(self):
+        from ssmgraph.data import collate
+        from ssmgraph.tensor import no_grad
+
+        model = tiny_model()
+        train, val = tiny_data()
+        val.records = val.records[:3]  # batch size 2 does not divide 3 records
+        # lr=0, wd=0: the restored model is the one that was validated
+        cfg = OptimConfig(lr=0.0, weight_decay=0.0, epochs=1, warmup_epochs=0,
+                          batch_size=2, patience=20)
+        result = train_loop(model, train, val, cfg, seed=0)
+        total = 0.0
+        with no_grad():
+            for batch in (val.records[:2], val.records[2:]):
+                x, y, mask = collate(batch)
+                total += model.total_loss(model.forward(x, mask=mask), y).item() * len(batch)
+        assert result.history[0][3] == pytest.approx(total / 3, rel=1e-12)
+
     def test_history_csv_format(self):
         model = tiny_model()
         train, val = tiny_data()
