@@ -20,24 +20,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _apply_thread_cap(argv: list[str]) -> None:
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
+def _apply_thread_cap(threads: int | None) -> None:
     if threads is None:
-        threads = os.environ.get("GS4_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, str(threads))
+    from . import fftconv
+    fftconv.FFT_WORKERS = threads
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ssmgraph")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=os.environ.get("GS4_THREADS") or None,
                         help="cap numeric thread pools (env fallback: GS4_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -89,87 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deep_set(cfg: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
-    node = cfg
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
-
-
-def _load_run_config(args) -> dict:
-    from .config import ConfigError, load_json, preset
-
-    raw = load_json(args.config)
-    allowed = {"preset", "model", "optim", "data", "seed"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"run.{sorted(unknown)[0]}: unknown key")
-    merged: dict = {"model": {}, "optim": {}, "data": {}, "seed": 0}
-    if "preset" in raw:
-        base = preset(raw["preset"])
-        merged["model"].update(base.get("model", {}))
-        merged["optim"].update(base.get("optim", {}))
-    for section in ("model", "optim", "data"):
-        section_raw = raw.get(section, {})
-        if not isinstance(section_raw, dict):
-            raise ConfigError(f"run.{section}: expected an object")
-        _merge_nested(merged[section], section_raw)
-    merged["seed"] = raw.get("seed", 0)
-    for override in args.set:
-        if "=" not in override:
-            raise ConfigError(f"--set {override!r}: expected PATH=VALUE")
-        path, text = override.split("=", 1)
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError:
-            value = text
-        _deep_set(merged, path, value)
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    return merged
-
-
-def _merge_nested(dst: dict, src: dict) -> None:
-    for key, value in src.items():
-        if isinstance(value, dict) and isinstance(dst.get(key), dict):
-            _merge_nested(dst[key], value)
-        else:
-            dst[key] = value
-
-
-def _resolve_datasets(data_cfg: dict, seed: int):
-    from .config import ConfigError
-    from .data import DatasetSpec, generate, load_bsg1, stratified_split
-
-    allowed = {"train", "val", "test", "spec", "split"}
-    unknown = set(data_cfg) - allowed
-    if unknown:
-        raise ConfigError(f"data.{sorted(unknown)[0]}: unknown key")
-    if "spec" in data_cfg:
-        try:
-            spec = DatasetSpec(**data_cfg["spec"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"data.spec: {exc}") from exc
-        full = generate(spec)
-        split = data_cfg.get("split", [0.7, 0.15, 0.15])
-        parts = stratified_split(full, split, seed=seed)
-        if len(parts) == 2:
-            train, val = parts
-            test = None
-        elif len(parts) == 3:
-            train, val, test = parts
-        else:
-            raise ConfigError("data.split: expected 2 or 3 fractions")
-        return train, val, test
-    if "train" not in data_cfg or "val" not in data_cfg:
-        raise ConfigError("data: need either 'spec' or 'train'+'val' paths")
-    train = load_bsg1(data_cfg["train"])
-    val = load_bsg1(data_cfg["val"])
-    test = load_bsg1(data_cfg["test"]) if "test" in data_cfg else None
-    return train, val, test
-
-
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -194,32 +108,30 @@ def cmd_train(args) -> int:
     import time
     from pathlib import Path
 
-    from .config import ConfigError, parse_model_config, parse_optim_config
+    from .config import load_run_config
     from .model import build_model, load_checkpoint, save_checkpoint
-    from .train import build_report, collect_outputs, select_thresholds, train_loop
+    from .train import (build_report, check_labels, collect_outputs, select_thresholds,
+                        train_loop)
 
-    merged = _load_run_config(args)
-    model_cfg = parse_model_config(merged["model"])
-    optim_cfg = parse_optim_config(merged["optim"])
-    if optim_cfg.undersample and model_cfg.task == "multilabel":
-        raise ConfigError("optim.undersample: majority-class undersampling needs "
-                          "one class per record, not a multilabel task")
-    seed = int(merged["seed"])
+    merged, run = load_run_config(args.config, args.set, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", merged)
 
-    train_ds, val_ds, test_ds = _resolve_datasets(merged["data"], seed)
-    model = build_model(model_cfg, seed)
+    train_ds, val_ds, test_ds = run.data.load(run.seed)
+    eval_ds = test_ds if test_ds is not None else val_ds
+    for dataset in (train_ds, val_ds, eval_ds):
+        check_labels(run.model, dataset)
+    model = build_model(run.model, run.seed)
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
     started = time.time()
-    result = train_loop(model, train_ds, val_ds, optim_cfg, seed, log=log)
+    result = train_loop(model, train_ds, val_ds, run.optim, run.seed, log=log)
     elapsed = time.time() - started
 
-    val_outputs = collect_outputs(model, val_ds, optim_cfg.batch_size)
+    val_outputs = collect_outputs(model, val_ds, run.optim.batch_size)
     thresholds = select_thresholds(model, val_outputs)
     extra = {"thresholds": thresholds, "best_epoch": result.best_epoch,
-             "val_metric": result.best_metric, "seed": seed}
+             "val_metric": result.best_metric, "seed": run.seed}
     ckpt_path = out_dir / "checkpoint.gs4m"
     save_checkpoint(model, ckpt_path, extra=extra)
     (out_dir / "history.csv").write_text(result.history_csv())
@@ -227,8 +139,7 @@ def cmd_train(args) -> int:
     # metrics come from the reloaded checkpoint so a later `eval` run
     # reproduces them byte-for-byte
     reloaded, _ = load_checkpoint(ckpt_path)
-    eval_ds = test_ds if test_ds is not None else val_ds
-    outputs = collect_outputs(reloaded, eval_ds, optim_cfg.batch_size)
+    outputs = collect_outputs(reloaded, eval_ds, run.optim.batch_size)
     report = build_report(reloaded, outputs, thresholds)
     report["split"] = "test" if test_ds is not None else "val"
     report["best_epoch"] = result.best_epoch
@@ -243,19 +154,19 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from pathlib import Path
 
-    import numpy as np
-
     from .config import ConfigError
     from .data import load_bsg1
     from .graphlearn import write_adjacency_csv
     from .metrics import MetricError, class_mean_adjacency, delta_permutation_test, delta_stats
     from .model import load_checkpoint
-    from .train import build_report, collect_outputs, predictions_correct, select_thresholds
+    from .train import (build_report, check_labels, collect_outputs, predictions_correct,
+                        select_thresholds)
 
     if args.permutations < 1:
         raise ConfigError(f"--permutations must be >= 1, got {args.permutations}")
     model, extra = load_checkpoint(args.checkpoint)
     dataset = load_bsg1(args.data)
+    check_labels(model.cfg, dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = collect_outputs(model, dataset, args.batch_size)
@@ -328,10 +239,11 @@ def cmd_export_adj(args) -> int:
     from .data import load_bsg1
     from .graphlearn import write_adjacency_csv
     from .model import load_checkpoint
-    from .train import collect_outputs
+    from .train import check_labels, collect_outputs
 
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_bsg1(args.data)
+    check_labels(model.cfg, dataset)
     wanted = None if args.records == "all" else set(args.records.split(","))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,16 +288,14 @@ def cmd_profile(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
+    _apply_thread_cap(args.threads)
 
-    from .config import ConfigError
-    from .data import ParseError
-    from .model import CheckpointError
     from .optim import DivergenceError
-    from .tensor import ContractError, NumericError, ShapeError
+    from .tensor import NumericError
 
     handlers = {
         "gen-data": cmd_gen_data,
@@ -397,8 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ParseError, CheckpointError, ContractError, ShapeError,
-            ValueError, FileNotFoundError) as exc:
+    # ConfigError, ParseError, CheckpointError, ContractError, ShapeError and
+    # MetricError all derive from ValueError
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NumericError) as exc:

@@ -1,14 +1,28 @@
-"""Strict JSON config parsing (unknown keys rejected with field paths) and
-named presets mirroring the published training setups."""
+"""Strict JSON run configuration and named presets mirroring the published
+training setups.
+
+A run file is one JSON object. Its keys: ``preset`` (a ``PRESETS`` name
+whose ``model`` and ``optim`` sections are the base), ``model``
+(``ModelConfig`` fields; ``gsl``, ``reg`` and ``pool`` are nested objects),
+``optim`` (``OptimConfig``), ``data`` (``DataConfig``: a synthetic ``spec``
+with an optional ``split``, or BSG1 ``train``/``val``/``test`` paths) and
+``seed`` (one integer for the model, split and training RNGs; default 0).
+
+``load_run_config`` merges, later sources winning: the preset, the file,
+each ``--set PATH=JSON`` override, then the ``--seed`` flag. Objects merge
+key by key; any other value replaces. Unknown keys and values whose type
+does not match the field's annotation raise ``ConfigError`` naming the
+field path, e.g. ``model.gsl.r`` or ``optim.lr``.
+"""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
 import json
+import typing
 
-from .gnn import PoolSpec
-from .graphlearn import GslConfig, RegWeights
+from .data import DatasetSpec, generate, load_bsg1, stratified_split
 from .model import ModelConfig
 
 
@@ -16,30 +30,40 @@ class ConfigError(ValueError):
     """Invalid run configuration; message carries the offending field path."""
 
 
-def _strict_fill(cls, data: dict, path: str):
+def _check(value, hint, path: str):
+    """``value`` checked against annotation ``hint``; dataclasses are filled
+    recursively. Integers pass as floats, booleans only as bools."""
+    options = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in options:
+        return None
+    for t in options:
+        if dataclasses.is_dataclass(t):
+            return _strict_fill(t, value, path)
+        if (t is float and type(value) is int
+                or isinstance(value, t) and (type(value) is not bool or t is bool)):
+            return value
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in options)
+    raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
+
+
+def _strict_fill(cls, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key".lstrip("."))
+    kwargs = {k: _check(v, hints[k], f"{path}.{k}".lstrip(".")) for k, v in data.items()}
     try:
-        return cls(**data)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_model_config(data: dict, path: str = "model") -> ModelConfig:
-    data = dict(data)
-    sub = {}
-    if "gsl" in data:
-        sub["gsl"] = _strict_fill(GslConfig, data.pop("gsl"), f"{path}.gsl")
-    if "reg" in data:
-        sub["reg"] = _strict_fill(RegWeights, data.pop("reg"), f"{path}.reg")
-    if "pool" in data:
-        sub["pool"] = _strict_fill(PoolSpec, data.pop("pool"), f"{path}.pool")
-    cfg = _strict_fill(ModelConfig, {**data, **sub}, path)
-    return cfg
+    return _strict_fill(ModelConfig, data, path)
 
 
 @dataclasses.dataclass
@@ -62,8 +86,79 @@ class OptimConfig:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
 
 
-def parse_optim_config(data: dict, path: str = "optim") -> OptimConfig:
-    return _strict_fill(OptimConfig, data, path)
+@dataclasses.dataclass
+class DataConfig:
+    """A synthetic ``spec`` split by ``split`` fractions, or BSG1 paths."""
+    train: str | None = None
+    val: str | None = None
+    test: str | None = None
+    spec: DatasetSpec | None = None
+    split: list = dataclasses.field(default_factory=lambda: [0.7, 0.15, 0.15])
+
+    def __post_init__(self):
+        if self.spec is None and (self.train is None or self.val is None):
+            raise ConfigError("data: need either 'spec' or 'train'+'val' paths")
+        if len(self.split) not in (2, 3) or abs(sum(self.split) - 1.0) > 1e-9:
+            raise ConfigError(f"data.split: expected 2 or 3 fractions summing to 1, "
+                              f"got {self.split}")
+
+    def load(self, seed: int) -> tuple:
+        """(train, val, test) datasets; test is None without a third part."""
+        if self.spec is None:
+            return tuple(None if p is None else load_bsg1(p)
+                         for p in (self.train, self.val, self.test))
+        return (*stratified_split(generate(self.spec), self.split, seed), None)[:3]
+
+
+@dataclasses.dataclass
+class RunConfig:
+    model: ModelConfig
+    optim: OptimConfig
+    data: DataConfig
+    seed: int
+
+    def __post_init__(self):
+        if self.optim.undersample and self.model.task == "multilabel":
+            raise ConfigError("optim.undersample: majority-class undersampling needs "
+                              "one class per record, not a multilabel task")
+
+
+def _merge(dst: dict, src: dict) -> None:
+    for key, value in src.items():
+        if isinstance(value, dict) and isinstance(dst.get(key), dict):
+            _merge(dst[key], value)
+        else:
+            dst[key] = value
+
+
+def load_run_config(path, overrides=(), seed: int | None = None) -> tuple[dict, RunConfig]:
+    """Merge preset, file, ``PATH=JSON`` overrides and seed (see the module
+    docstring); returns the merged dict and the checked ``RunConfig``."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    merged: dict = {"model": {}, "optim": {}, "data": {}, "seed": 0}
+    if "preset" in raw:
+        _merge(merged, preset(raw.pop("preset")))
+    _merge(merged, raw)
+    for override in overrides:
+        dotted, sep, text = override.partition("=")
+        if not sep:
+            raise ConfigError(f"--set {override!r}: expected PATH=VALUE")
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        _merge(merged, value)
+    if seed is not None:
+        merged["seed"] = seed
+    return merged, _strict_fill(RunConfig, merged, "")
 
 
 # Named presets following the published per-dataset hyperparameters; the
@@ -108,14 +203,6 @@ PRESETS: dict[str, dict] = {
 
 
 def preset(name: str) -> dict:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"preset: unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return copy.deepcopy(PRESETS[name])
-
-
-def load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc

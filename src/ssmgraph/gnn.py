@@ -70,17 +70,11 @@ def _pool(x: Tensor, kind: str, axis: int) -> Tensor:
     raise ContractError(f"unknown pool kind {kind!r}")
 
 
-def temporal_graph_readout(z, spec: PoolSpec) -> Tensor:
-    """Pool per-interval node embeddings down to one vector per record.
-
-    ``z`` is either a list of n_d tensors shaped (..., N, D) or a stacked
-    tensor (..., n_d, N, D). Temporal pooling runs over n_d, then graph
-    pooling over N, giving (..., D).
+def temporal_graph_readout(z: Tensor, spec: PoolSpec) -> Tensor:
+    """Pool per-interval node embeddings (..., n_d, N, D) down to one vector
+    per record: temporal pooling over n_d, then graph pooling over N,
+    giving (..., D).
     """
-    if isinstance(z, (list, tuple)):
-        if len(z) == 0:
-            raise ContractError("empty interval list")
-        z = T.stack(z, axis=-3)
     if z.ndim < 3:
         raise ShapeError(f"expected (..., n_d, N, D), got {z.shape}")
     pooled_t = _pool(z, spec.temporal_pool, axis=-3)

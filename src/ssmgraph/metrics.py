@@ -46,47 +46,34 @@ def sensitivity_specificity(confusion: dict) -> tuple[float, float]:
     return sens, spec
 
 
+def _ranked_counts(scores, labels):
+    """Distinct scores in descending order, each with the cumulative true-
+    and false-positive counts of predicting positive at score >= it."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if not np.isin(labels, (0, 1)).all():
+        raise MetricError("binary labels must be 0 or 1")
+    order = np.argsort(-scores, kind="mergesort")
+    ranked, y = scores[order], labels.astype(int)[order]
+    last = np.ones(len(ranked), dtype=bool)   # last position of each run of ties
+    last[:-1] = ranked[1:] != ranked[:-1]
+    return ranked[last], np.cumsum(y)[last], np.cumsum(1 - y)[last]
+
+
 def auroc_auprc(scores, labels) -> tuple[float, float]:
     """AUROC as P(random positive outranks random negative, ties half) and
     AUPRC as step-wise average precision over descending thresholds."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(int)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    _, tp, fp = _ranked_counts(scores, labels)
+    n_pos, n_neg = (int(tp[-1]), int(fp[-1])) if len(tp) else (0, 0)
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUROC/AUPRC need at least one positive and one negative")
-
-    # average ranks handle ties exactly (Mann-Whitney U)
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = ranks[labels == 1].sum()
-    auroc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-    desc = np.argsort(-scores, kind="mergesort")
-    tp = fp = 0
-    recall_prev = 0.0
-    auprc = 0.0
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[desc[j + 1]] == scores[desc[i]]:
-            j += 1
-        group = labels[desc[i:j + 1]]
-        tp += int((group == 1).sum())
-        fp += int((group == 0).sum())
-        precision = tp / (tp + fp)
-        recall = tp / n_pos
-        auprc += (recall - recall_prev) * precision
-        recall_prev = recall
-        i = j + 1
+    # trapezoids under the ROC staircase; twice the area is an integer, and
+    # a tie group's half-counted pairs are exactly the Mann-Whitney ties
+    tp0, fp0 = np.r_[0, tp], np.r_[0, fp]
+    twice_u = int(np.sum(np.diff(fp0) * (tp0[1:] + tp0[:-1])))
+    auroc = twice_u / (2.0 * n_pos * n_neg)
+    # summed in threshold order, one term per tie group
+    auprc = np.cumsum(np.diff(tp0 / n_pos) * (tp / (tp + fp)))[-1]
     return float(auroc), float(auprc)
 
 
@@ -108,19 +95,13 @@ def cohen_kappa(pred, truth, n_classes: int) -> float:
 def threshold_select(scores, labels) -> float:
     """F1-maximizing cutoff over all distinct-score midpoints (predict
     positive at score >= cutoff); ties resolve to the lowest cutoff."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(int)
-    distinct = np.unique(scores)
+    distinct, tp, fp = _ranked_counts(scores, labels)
     if len(distinct) < 2:
         return float(distinct[0]) if len(distinct) else 0.0
-    midpoints = (distinct[:-1] + distinct[1:]) / 2.0
-    best_cut = midpoints[0]
-    best_f1 = -1.0
-    for cut in midpoints:
-        f1, _ = fbeta_gbeta(confusion_counts(scores >= cut, labels == 1), 1.0)
-        if f1 > best_f1 + 1e-15:
-            best_f1, best_cut = f1, cut
-    return float(best_cut)
+    # cutoff k lies between distinct[k] and distinct[k + 1]; F1 = 2tp / (tp + fp + P)
+    f1 = 2 * tp[:-1] / (tp[:-1] + fp[:-1] + tp[-1])
+    k = len(f1) - 1 - int(np.argmax(f1[::-1]))
+    return float((distinct[k] + distinct[k + 1]) / 2.0)
 
 
 def threshold_select_multilabel(scores: np.ndarray, labels: np.ndarray) -> list:

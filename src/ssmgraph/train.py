@@ -13,7 +13,7 @@ from .config import OptimConfig
 from .data import Dataset, collate, undersample_majority
 from .metrics import (binary_report, multiclass_report, multilabel_report,
                       auroc_auprc, threshold_select, threshold_select_multilabel)
-from .model import SsmGraphModel, save_checkpoint
+from .model import ModelConfig, SsmGraphModel, save_checkpoint
 from .optim import AdamW, DivergenceError, cosine_warmup_lr
 
 
@@ -67,6 +67,21 @@ def collect_outputs(model: SsmGraphModel, dataset: Dataset, batch_size: int = 32
     return EvalOutputs(scores=np.concatenate(scores, axis=0),
                        labels=dataset.labels_matrix(),
                        graphs=graphs, record_ids=ids, total_loss=total / len(dataset))
+
+
+def check_labels(cfg: ModelConfig, dataset: Dataset) -> None:
+    """Reject a dataset whose labels the model cannot score: a class index
+    outside the model's classes, or a multi-hot vector of the wrong width."""
+    n_classes = 2 if cfg.task == "binary" else cfg.n_classes
+    for rec in dataset.records:
+        y = np.asarray(rec.y)
+        if cfg.task == "multilabel":
+            ok = y.shape == (n_classes,) and bool(np.isin(y, (0, 1)).all())
+        else:
+            ok = y.ndim == 0 and 0 <= y < n_classes
+        if not ok:
+            raise ValueError(f"record {rec.record_id}: label {rec.y} does not fit a "
+                             f"{cfg.task} model with {n_classes} classes")
 
 
 def validation_metric(model: SsmGraphModel, outputs: EvalOutputs) -> float:

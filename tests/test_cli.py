@@ -254,9 +254,107 @@ class TestErrors:
         assert rc == 2
         assert "optim.undersample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, overrides, message", [
+        (None, ["model=5"], "model: expected an object, got int"),
+        (None, ["seed.x=1"], "seed: expected int, got dict"),
+        (None, ['optim.lr="abc"'], "optim.lr: expected float, got str"),
+        (None, ["bogus=1"], "bogus: unknown key"),
+        (None, ['preset="dodh-like"'], "preset: unknown key"),
+        # an integer path would be opened as a file descriptor
+        ({"data": {"train": 12345, "val": "val.bsg1"}}, [],
+         "data.train: expected str or null, got int"),
+        ([], [], "expected a JSON object, got list"),
+    ])
+    def test_bad_run_config_exit_2(self, tiny_run, capsys, config, overrides, message):
+        tmp_path, cfg_path, _ = tiny_run
+        if config is not None:
+            cfg_path.write_text(json.dumps(config))
+        argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_dataset_file_exit_2(self, tmp_path):
         junk = tmp_path / "junk.bsg1"
         junk.write_bytes(b"not a dataset")
         rc = main(["eval", "--checkpoint", "missing.gs4m", "--data", str(junk),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestLabelCheck:
+    """Labels the model cannot score exit 2 and name the first bad record."""
+
+    MODEL = {"n_sensors": 3, "d_model": 4, "s4_depth": 1, "p_states": 2,
+             "gsl": {"r": "full", "knn_k": 1, "heads": 1}}
+
+    @pytest.fixture
+    def five_class_file(self, tmp_path):
+        from ssmgraph.data import Dataset, SignalRecord, save_bsg1
+
+        rng = np.random.default_rng(0)
+        records = [SignalRecord(x=rng.normal(size=(3, 16, 1)), y=i % 5,
+                                mask=np.ones(16, dtype=bool), true_length=16,
+                                record_id=f"r{i}") for i in range(10)]
+        path = tmp_path / "five.bsg1"
+        save_bsg1(Dataset(records=records, task="multiclass", n_classes=5), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "export-adj"])
+    @pytest.mark.parametrize("task, n_classes, first_bad", [("multiclass", 3, "r3"),
+                                                            ("binary", 1, "r2")])
+    def test_checkpoint_classes_exit_2(self, tmp_path, capsys, five_class_file, command,
+                                       task, n_classes, first_bad):
+        from ssmgraph.config import parse_model_config
+        from ssmgraph.model import build_model, save_checkpoint
+
+        cfg = parse_model_config({**self.MODEL, "task": task, "n_classes": n_classes})
+        ckpt = tmp_path / "model.gs4m"
+        save_checkpoint(build_model(cfg, seed=0), ckpt)
+        rc = main([command, "--checkpoint", str(ckpt), "--data", str(five_class_file),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"record {first_bad}:" in capsys.readouterr().err
+
+    def test_train_labels_beyond_n_classes_exit_2(self, tmp_path, capsys, five_class_file):
+        config = {"model": {**self.MODEL, "task": "multiclass", "n_classes": 3},
+                  "optim": {"epochs": 1, "warmup_epochs": 0},
+                  "data": {"train": str(five_class_file), "val": str(five_class_file)}}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 2
+        assert "record r3:" in capsys.readouterr().err
+
+
+class TestThreads:
+    @pytest.fixture(autouse=True)
+    def restore(self, monkeypatch):
+        import ssmgraph.fftconv
+
+        monkeypatch.setattr(ssmgraph.fftconv, "FFT_WORKERS", -1)
+        monkeypatch.delenv("GS4_THREADS", raising=False)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+
+    PROFILE = ["profile", "--d", "8", "--n-sensors", "3", "--t", "16", "--sweep-nd", "1"]
+
+    def test_flag_caps_fft_workers(self):
+        import ssmgraph.fftconv
+
+        assert main(["--threads", "1"] + self.PROFILE) == 0
+        assert ssmgraph.fftconv.FFT_WORKERS == 1
+
+    def test_env_caps_fft_workers(self, monkeypatch):
+        import ssmgraph.fftconv
+
+        monkeypatch.setenv("GS4_THREADS", "2")
+        assert main(self.PROFILE) == 0
+        assert ssmgraph.fftconv.FFT_WORKERS == 2
+
+    def test_nonpositive_threads_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "0"] + self.PROFILE)
+        assert exc.value.code == 2

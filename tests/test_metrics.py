@@ -64,6 +64,13 @@ class TestAuroc:
         with pytest.raises(MetricError):
             auroc_auprc(np.array([0.1, 0.9]), np.array([1, 1]))
 
+    def test_labels_outside_binary_rejected(self):
+        # a 5-class label column scored as binary
+        with pytest.raises(MetricError):
+            auroc_auprc(np.array([0.9, 0.5, 0.1]), np.array([2, 1, 0]))
+        with pytest.raises(MetricError):
+            threshold_select(np.array([0.9, 0.5, 0.1]), np.array([2, 1, 0]))
+
 
 class TestFbetaGbeta:
     def test_perfect_classifier(self):
