@@ -157,7 +157,7 @@ def cmd_eval(args) -> int:
     from .config import ConfigError
     from .data import load_bsg1
     from .graphlearn import write_adjacency_csv
-    from .metrics import MetricError, class_mean_adjacency, delta_permutation_test, delta_stats
+    from .metrics import adjacency_delta_table, class_mean_adjacency
     from .model import load_checkpoint
     from .train import (build_report, check_labels, collect_outputs, predictions_correct,
                         select_thresholds)
@@ -178,23 +178,11 @@ def cmd_eval(args) -> int:
         if model.cfg.task == "multilabel":
             raise ValueError("adjacency analysis groups records by a single class index")
         correct = predictions_correct(model, outputs, thresholds)
-        classes = outputs.labels
-        means = class_mean_adjacency(outputs.graphs, classes, correct)
+        means = class_mean_adjacency(outputs.graphs, outputs.labels, correct)
         for c, mat in sorted(means.items()):
             write_adjacency_csv(mat, out_dir / f"mean_adj_class{c}.csv")
-        table = {}
-        present = sorted(means)
-        for i, a in enumerate(present):
-            for b in present[i + 1:]:
-                d_mean, d_std = delta_stats(means[a], means[b])
-                entry = {"delta_mean": d_mean, "delta_std": d_std}
-                try:
-                    entry.update(delta_permutation_test(
-                        outputs.graphs, classes, correct, a, b,
-                        n_permutations=args.permutations, seed=0))
-                except MetricError as exc:
-                    entry["error"] = str(exc)
-                table[f"{a}-{b}"] = entry
+        table = adjacency_delta_table(outputs.graphs, outputs.labels, correct,
+                                      args.permutations, seed=0)
         _write_json(out_dir / "adjacency_delta.json", table)
     print(f"wrote metrics to {out_dir / 'metrics.json'}")
     return EXIT_OK
@@ -308,8 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     # ConfigError, ParseError, CheckpointError, ContractError, ShapeError and
-    # MetricError all derive from ValueError
-    except (ValueError, FileNotFoundError) as exc:
+    # MetricError all derive from ValueError; OSError covers unreadable paths
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NumericError) as exc:

@@ -86,19 +86,29 @@ class OptimConfig:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
 
 
+DEFAULT_SPLIT = (0.7, 0.15, 0.15)
+
+
 @dataclasses.dataclass
 class DataConfig:
-    """A synthetic ``spec`` split by ``split`` fractions, or BSG1 paths."""
+    """A synthetic ``spec`` split by ``split`` fractions (``DEFAULT_SPLIT`` if
+    null), or BSG1 ``train``/``val``/``test`` paths, never both."""
     train: str | None = None
     val: str | None = None
     test: str | None = None
     spec: DatasetSpec | None = None
-    split: list = dataclasses.field(default_factory=lambda: [0.7, 0.15, 0.15])
+    split: list | None = None
 
     def __post_init__(self):
+        paths = [name for name in ("train", "val", "test") if getattr(self, name) is not None]
+        if self.spec is not None and paths:
+            raise ConfigError(f"data.{paths[0]}: give either 'spec' or BSG1 paths, not both")
         if self.spec is None and (self.train is None or self.val is None):
             raise ConfigError("data: need either 'spec' or 'train'+'val' paths")
-        if len(self.split) not in (2, 3) or abs(sum(self.split) - 1.0) > 1e-9:
+        if self.spec is None and self.split is not None:
+            raise ConfigError("data.split: only a 'spec' is split; BSG1 paths are used as given")
+        if self.split is not None and (len(self.split) not in (2, 3)
+                                       or abs(sum(self.split) - 1.0) > 1e-9):
             raise ConfigError(f"data.split: expected 2 or 3 fractions summing to 1, "
                               f"got {self.split}")
 
@@ -107,7 +117,8 @@ class DataConfig:
         if self.spec is None:
             return tuple(None if p is None else load_bsg1(p)
                          for p in (self.train, self.val, self.test))
-        return (*stratified_split(generate(self.spec), self.split, seed), None)[:3]
+        split = self.split or DEFAULT_SPLIT
+        return (*stratified_split(generate(self.spec), split, seed), None)[:3]
 
 
 @dataclasses.dataclass

@@ -13,7 +13,7 @@ Two generators make the model's mechanisms falsifiable at desk scale:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,35 +99,34 @@ def collate(records, dtype=np.float64):
     return x, y, mask
 
 
+# Correlation task: every stream mixes a fast AR(1), a slower AR(1) (fresh
+# evidence per pooling interval), and a Gaussian level held constant over
+# each record half (a persistent signature that is invisible to within-half
+# sample correlations); the variance fractions sum to 1, and the identical
+# mixture in both classes keeps marginals flat.
+NOISE_PHI = 0.6
+SLOW_PHI = 0.93
+FAST_FRAC = 0.55
+SLOW_FRAC = 0.2
+LEVEL_FRAC = 0.25
+
+
 @dataclass
 class DatasetSpec:
-    kind: str                      # "correlation" | "longrange"
+    """A binary synthetic task: ``kind`` is "correlation" or "longrange"."""
+    kind: str
     n_sensors: int = 6
     t_len: int = 2048
     input_dim: int = 1
-    n_classes: int = 2
     size: int = 100
     seed: int = 0
     class_balance: float = 0.5
-    # every stream mixes a fast AR, a slower AR (fresh evidence per pooling
-    # interval), and a Gaussian level held constant over each record half
-    # (a persistent signature that is invisible to within-half sample
-    # correlations); identical mixture in both classes keeps marginals flat
-    noise_phi: float = 0.6
-    slow_phi: float = 0.93
-    fast_frac: float = 0.55
-    slow_frac: float = 0.2
-    level_frac: float = 0.25
     clique_corr: float = 0.95      # pairwise correlation inside the active clique
-    clique_size: int = 0           # 0 -> max(2, n_sensors // 2)
-    normalize: bool = True         # scale each record to unit global std
     marker_amplitude: float = 1.5  # longrange marker strength (0 -> null task)
 
     def __post_init__(self):
         if self.kind not in ("correlation", "longrange"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.n_classes != 2:
-            raise ValueError("synthetic generators are binary (n_classes=2)")
         if not 0.0 < self.class_balance < 1.0:
             raise ValueError("class_balance must be in (0, 1)")
         if self.kind == "correlation" and self.n_sensors < 3:
@@ -136,7 +135,7 @@ class DatasetSpec:
             raise ValueError("longrange task needs t_len >= 1024")
 
     def resolved_clique(self) -> int:
-        return self.clique_size if self.clique_size else max(2, self.n_sensors // 2)
+        return max(2, self.n_sensors // 2)
 
 
 def _ar1(rng: np.random.Generator, shape, phi: float) -> np.ndarray:
@@ -187,16 +186,16 @@ def gen_correlation_task(spec: DatasetSpec) -> Dataset:
     a = np.sqrt(spec.clique_corr)
     b = np.sqrt(1.0 - spec.clique_corr)
     half = spec.t_len // 2
-    w_fast = np.sqrt(spec.fast_frac)
-    w_slow = np.sqrt(spec.slow_frac)
-    w_level = np.sqrt(spec.level_frac)
+    w_fast = np.sqrt(FAST_FRAC)
+    w_slow = np.sqrt(SLOW_FRAC)
+    w_level = np.sqrt(LEVEL_FRAC)
     records = []
     for i, child in enumerate(ss.spawn(spec.size)):
         rng = np.random.default_rng(child)
-        fast = _ar1(rng, (spec.n_sensors, spec.t_len), spec.noise_phi)
-        fast_shared = _ar1(rng, (spec.t_len,), spec.noise_phi)
-        slow = _ar1(rng, (spec.n_sensors, spec.t_len), spec.slow_phi)
-        slow_shared = _ar1(rng, (spec.t_len,), spec.slow_phi)
+        fast = _ar1(rng, (spec.n_sensors, spec.t_len), NOISE_PHI)
+        fast_shared = _ar1(rng, (spec.t_len,), NOISE_PHI)
+        slow = _ar1(rng, (spec.n_sensors, spec.t_len), SLOW_PHI)
+        slow_shared = _ar1(rng, (spec.t_len,), SLOW_PHI)
         levels = rng.normal(size=(spec.n_sensors, 2))   # one level per half
         level_shared = rng.normal()
         if labels[i] == 1:
@@ -208,8 +207,7 @@ def gen_correlation_task(spec: DatasetSpec) -> Dataset:
         x = w_fast * fast + w_slow * slow
         x[:, :half] += w_level * levels[:, :1]
         x[:, half:] += w_level * levels[:, 1:]
-        if spec.normalize:
-            x /= x.std()  # a per-record scalar: correlations are unaffected
+        x /= x.std()  # unit global std; a per-record scalar keeps correlations
         x = np.repeat(x[:, :, None], spec.input_dim, axis=2)
         records.append(SignalRecord(x=x, y=int(labels[i]),
                                     mask=np.ones(spec.t_len, dtype=bool),

@@ -9,7 +9,7 @@ log-degree connectivity, Frobenius sparsity) shape the learned graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -229,13 +229,11 @@ def delta_permutation_test(graphs, classes, correct, class_a: int, class_b: int,
     labels = np.array([c for _, c in kept])
     if not ((labels == class_a).any() and (labels == class_b).any()):
         raise MetricError("both classes need at least one correct record")
+    everything = [True] * len(mats)
 
     def observed_delta(lbls) -> float:
-        mean_a = np.concatenate([m.reshape(-1, m.shape[-2], m.shape[-1])
-                                 for m, l in zip(mats, lbls) if l == class_a]).mean(axis=0)
-        mean_b = np.concatenate([m.reshape(-1, m.shape[-2], m.shape[-1])
-                                 for m, l in zip(mats, lbls) if l == class_b]).mean(axis=0)
-        return delta_stats(mean_a, mean_b)[0]
+        means = class_mean_adjacency(mats, lbls, everything)
+        return delta_stats(means[class_a], means[class_b])[0]
 
     obs = observed_delta(labels)
     rng = np.random.default_rng(seed)
@@ -250,3 +248,23 @@ def delta_permutation_test(graphs, classes, correct, class_a: int, class_b: int,
         "p_value": (hits + 1) / (n_permutations + 1),
         "n_permutations": n_permutations,
     }
+
+
+def adjacency_delta_table(graphs, classes, correct, n_permutations: int, seed: int) -> dict:
+    """Delta stats and permutation test for every pair of classes that has a
+    correctly predicted record, keyed "a-b". A pair whose test cannot run
+    carries the ``MetricError`` message under "error"."""
+    means = class_mean_adjacency(graphs, classes, correct)
+    present = sorted(means)
+    table = {}
+    for i, a in enumerate(present):
+        for b in present[i + 1:]:
+            d_mean, d_std = delta_stats(means[a], means[b])
+            entry = {"delta_mean": d_mean, "delta_std": d_std}
+            try:
+                entry.update(delta_permutation_test(graphs, classes, correct, a, b,
+                                                    n_permutations=n_permutations, seed=seed))
+            except MetricError as exc:
+                entry["error"] = str(exc)
+            table[f"{a}-{b}"] = entry
+    return table

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .gnn import ClassifierHead, GinLayer, PoolSpec, temporal_graph_readout
-from .graphlearn import (FULL_INTERVAL, GslConfig, GslLayer, RegWeights,
-                         interval_mean_pool, num_intervals, reg_loss_total)
+from .graphlearn import (GslConfig, GslLayer, RegWeights, interval_mean_pool,
+                         num_intervals, reg_loss_total)
 from .rnn import GruLayer
 from .s4 import S4Layer
 from .tensor import ContractError, ShapeError, Tensor
@@ -27,7 +27,10 @@ TASKS = ("binary", "multiclass", "multilabel")
 ENCODERS = ("s4", "gru")
 
 CHECKPOINT_MAGIC = b"GS4M"
-CHECKPOINT_VERSION = 1
+# Version 2: a bidirectional layer's skip term is core.d_skip + core_rev.d_skip.
+# Version 1 files load with every core_rev.d_skip zeroed, which was their
+# behaviour, since version 1 models never read that parameter.
+CHECKPOINT_VERSION = 2
 
 # Self-attention cost model: MACs per node per interval at width D.
 GSL_MACS_NODE_FACTOR = 64
@@ -337,7 +340,7 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
     if need(4) != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic at byte 0")
     version = struct.unpack("<I", need(4))[0]
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     blob_len = struct.unpack("<I", need(4))[0]
     payload = json.loads(need(blob_len).decode("utf-8"))
@@ -360,4 +363,8 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
         params[name].data[...] = values.astype(cfg.np_dtype)
     if off != len(raw):
         raise CheckpointError(f"trailing bytes at offset {off}")
+    if version == 1:
+        for name, p in params.items():
+            if name.endswith(".core_rev.d_skip"):
+                p.data[...] = 0.0
     return model, payload.get("extra", {})

@@ -7,10 +7,14 @@ states. Re(A) is stored in log space so the continuous system stays stable
 under unconstrained optimization, which keeps |a_bar| < 1 after the bilinear
 map. The discrete system can run two ways:
 
-* kernel + FFT convolution (the trainable path), or
+* the impulse response as a kernel + FFT convolution (the trainable path):
+  ``materialize_kernel`` is one tape op whose tap 0 carries the skip term
+  D, as in S4D (Gu et al., arXiv 2206.11893), or
 * a step-by-step recurrent scan (the value-level oracle path).
 
-Complex numbers appear here only as (re, im) tensor pairs / numpy internals.
+A bidirectional layer runs a second core over the reversed sequence, so its
+skip term is the sum of both cores' D. Complex numbers appear only inside
+numpy; every tensor here is real.
 """
 
 from __future__ import annotations
@@ -50,20 +54,6 @@ class SsmCore:
         names = ["log_neg_re", "lam_im", "b_re", "b_im", "c_re", "c_im", "log_dt", "d_skip"]
         return [(prefix + n, getattr(self, n)) for n in names]
 
-    # -- value-level views (oracles, checks) ----------------------------
-
-    def lam_values(self) -> np.ndarray:
-        return -np.exp(self.log_neg_re.data) + 1j * self.lam_im.data
-
-    def b_values(self) -> np.ndarray:
-        return self.b_re.data + 1j * self.b_im.data
-
-    def c_values(self) -> np.ndarray:
-        return self.c_re.data + 1j * self.c_im.data
-
-    def dt_values(self) -> np.ndarray:
-        return np.exp(self.log_dt.data)
-
     def assert_stable(self) -> None:
         """Discrete-time stability |a_bar| < 1 must hold for every state."""
         a_bar, _ = discretize_bilinear(self)
@@ -72,44 +62,48 @@ class SsmCore:
             raise T.NumericError(f"unstable core: max |a_bar| = {worst:.6f}")
 
 
-def discretize_bilinear(core: SsmCore) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear (Tustin) map of a diagonal core to discrete time.
+def _bilinear(core: SsmCore):
+    """Complex128 bilinear (Tustin) map of a diagonal core to discrete time.
 
-    a_bar = (1 + dt*lam/2) / (1 - dt*lam/2),  b_bar = dt*b / (1 - dt*lam/2).
-    Stable continuous poles (Re lam < 0) give |a_bar| < 1.
+    a_bar = (1 + dt*lam/2) / den,  b_bar = dt*b / den,  den = 1 - dt*lam/2,
+    with lam = -exp(log_neg_re) + i*lam_im and dt = exp(log_dt), both
+    exponentials taken in the parameters' dtype. Returns
+    (lam, b, c, dt, den, a_bar, b_bar), dt shaped (d, 1).
     """
-    lam = core.lam_values()
-    dt = core.dt_values()[:, None]
+    lam = (-np.exp(core.log_neg_re.data)).astype(np.complex128) + 1j * core.lam_im.data
+    b = core.b_re.data.astype(np.complex128) + 1j * core.b_im.data
+    c = core.c_re.data.astype(np.complex128) + 1j * core.c_im.data
+    dt = np.exp(core.log_dt.data).astype(np.float64)[:, None]
     u = dt * lam / 2.0
     den = 1.0 - u
-    if np.any(den == 0):
-        raise T.NumericError("bilinear pole: dt*lam == 2")
-    return (1.0 + u) / den, dt * core.b_values() / den
+    return lam, b, c, dt, den, (1.0 + u) / den, dt * b / den
 
 
-def _kernel_diag_primitive(lam_re: Tensor, lam_im: Tensor, b_re: Tensor, b_im: Tensor,
-                           c_re: Tensor, c_im: Tensor, dt: Tensor, length: int) -> Tensor:
-    """K[d, t] = Re(sum_p c * a_bar^t * b_bar) as one fused differentiable op.
+def discretize_bilinear(core: SsmCore) -> tuple[np.ndarray, np.ndarray]:
+    """(a_bar, b_bar) of the core; Re(lam) < 0 gives |a_bar| < 1."""
+    return _bilinear(core)[5:]
+
+
+def materialize_kernel(core: SsmCore, length: int) -> Tensor:
+    """The core's (d, L) impulse response as one differentiable op:
+    K[:, t] = Re(sum_p c * a_bar^t * b_bar), plus d_skip at t = 0.
 
     The backward rule pushes the upstream gradient through the bilinear
-    discretization analytically: every map is holomorphic in each complex
-    parameter z, so for f = Re(g(z)) the (re, im) gradients are
-    (Re(g'), -Im(g')).
+    map analytically: every map is holomorphic in each complex parameter
+    z, so for f = Re(g(z)) the (re, im) gradients are (Re(g'), -Im(g')).
+    It then applies the chain rule through lam_re = -exp(log_neg_re) and
+    dt = exp(log_dt), whose derivatives are lam_re and dt, in the
+    parameters' dtype.
     """
-    lam = lam_re.data.astype(np.complex128) + 1j * lam_im.data
-    b = b_re.data.astype(np.complex128) + 1j * b_im.data
-    c = c_re.data.astype(np.complex128) + 1j * c_im.data
-    step = dt.data.astype(np.float64)[:, None]
-
-    u = step * lam / 2.0
-    den = 1.0 - u
-    a_bar = (1.0 + u) / den
-    b_bar = step * b / den
+    if length < 1:
+        raise ContractError(f"kernel length must be >= 1, got {length}")
+    params = core.named_parameters()
+    lam, b, c, step, den, a_bar, b_bar = _bilinear(core)
     w = c * b_bar
-
     powers = a_bar[:, :, None] ** np.arange(length)          # (d, p, L)
-    out_data = np.einsum("dp,dpl->dl", w, powers).real
-    out_data = out_data.astype(lam_re.data.dtype)
+    dtype = core.d_skip.dtype
+    out_data = np.einsum("dp,dpl->dl", w, powers).real.astype(dtype)
+    out_data[:, 0] += core.d_skip.data
 
     def bwd(g):
         g64 = g.astype(np.float64)
@@ -120,41 +114,25 @@ def _kernel_diag_primitive(lam_re: Tensor, lam_im: Tensor, b_re: Tensor, b_im: T
         t_mom = np.einsum("dl,dpl->dp", g64, tpow)            # sum_t g t a_bar^(t-1)
 
         den2 = den * den
-        if c_re.requires_grad or c_im.requires_grad:
-            gc = b_bar * s
-            if c_re.requires_grad:
-                c_re._accum(gc.real.astype(c_re.dtype))
-            if c_im.requires_grad:
-                c_im._accum((-gc.imag).astype(c_im.dtype))
-        if b_re.requires_grad or b_im.requires_grad:
-            gb = (c * step / den) * s
-            if b_re.requires_grad:
-                b_re._accum(gb.real.astype(b_re.dtype))
-            if b_im.requires_grad:
-                b_im._accum((-gb.imag).astype(b_im.dtype))
-        if lam_re.requires_grad or lam_im.requires_grad:
-            db_dlam = step * step * b / (2.0 * den2)
-            da_dlam = step / den2
-            gl = (c * db_dlam) * s + (w * da_dlam) * t_mom
-            if lam_re.requires_grad:
-                lam_re._accum(gl.real.astype(lam_re.dtype))
-            if lam_im.requires_grad:
-                lam_im._accum((-gl.imag).astype(lam_im.dtype))
-        if dt.requires_grad:
-            gd = (c * b / den2) * s + (w * lam / den2) * t_mom
-            dt._accum(gd.real.sum(axis=1).astype(dt.dtype))
+        gc = b_bar * s
+        gb = (c * step / den) * s
+        db_dlam = step * step * b / (2.0 * den2)
+        da_dlam = step / den2
+        gl = (c * db_dlam) * s + (w * da_dlam) * t_mom
+        gd = (c * b / den2) * s + (w * lam / den2) * t_mom
+        grads = {
+            "log_neg_re": gl.real.astype(dtype) * lam.real.astype(dtype),
+            "lam_im": (-gl.imag).astype(dtype),
+            "b_re": gb.real.astype(dtype), "b_im": (-gb.imag).astype(dtype),
+            "c_re": gc.real.astype(dtype), "c_im": (-gc.imag).astype(dtype),
+            "log_dt": gd.real.sum(axis=1).astype(dtype) * step[:, 0].astype(dtype),
+            "d_skip": g[:, 0],
+        }
+        for name, param in params:
+            if param.requires_grad:
+                param._accum(grads[name])
 
-    return _record(out_data, (lam_re, lam_im, b_re, b_im, c_re, c_im, dt), bwd)
-
-
-def materialize_kernel(core: SsmCore, length: int) -> Tensor:
-    """Differentiable length-``length`` convolution kernels, one row per feature: (d, L)."""
-    if length < 1:
-        raise ContractError(f"kernel length must be >= 1, got {length}")
-    lam_re = T.neg(T.exp(core.log_neg_re))
-    dt = T.exp(core.log_dt)
-    return _kernel_diag_primitive(lam_re, core.lam_im, core.b_re, core.b_im,
-                                  core.c_re, core.c_im, dt, length)
+    return _record(out_data, [p for _, p in params], bwd)
 
 
 def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
@@ -169,10 +147,9 @@ def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
     if u.shape[0] != core.d:
         raise ShapeError(f"scan input rows {u.shape[0]} != d={core.d}")
     length = u.shape[1]
-    c = core.c_values()
+    _, _, c, _, _, a_bar, b_bar = _bilinear(core)
     d_skip = core.d_skip.data.astype(np.float64)
     y = np.zeros((core.d, length))
-    a_bar, b_bar = discretize_bilinear(core)
     x = np.zeros((core.d, core.p), dtype=np.complex128)
     for t in range(length):
         x = a_bar * x + b_bar * u[:, t:t + 1]
@@ -183,10 +160,11 @@ def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
 class S4Layer:
     """Pre-norm S4 block: LN -> SSM conv (+skip) -> GLU gate -> dropout -> residual.
 
-    Bidirectional mode adds a second core run over the time-reversed sequence;
-    both directions share the GLU output projection. A timestep ``mask``
-    zeroes padded steps of the normalized signal before both convolutions,
-    so the reverse direction never reads past a record's true length.
+    Bidirectional mode adds a second core run over the time-reversed sequence,
+    so the skip term is ``core.d_skip + core_rev.d_skip``; both directions
+    share the GLU output projection. A timestep ``mask`` zeroes padded steps
+    of the normalized signal before both convolutions, so the reverse
+    direction never reads past a record's true length.
     """
 
     def __init__(self, d_model: int, p_states: int, rng: np.random.Generator,
@@ -226,12 +204,7 @@ class S4Layer:
         if mask is not None:
             z = z * mask  # LayerNorm(0) = ln_beta at padded steps
         zt = z.swap_last2()                                   # (B, D, T)
-        # folding d_skip into kernel[0] realizes y += d_skip*x inside the conv
-        kernel = materialize_kernel(self.core, length)
-        skip = T.concat([self.core.d_skip.reshape(-1, 1),
-                         Tensor(np.zeros((self.d_model, length - 1), dtype=x.dtype))], axis=1) \
-            if length > 1 else self.core.d_skip.reshape(-1, 1)
-        y = conv1d_fft(zt, kernel + skip)
+        y = conv1d_fft(zt, materialize_kernel(self.core, length))
         if self.core_rev is not None:
             k_rev = materialize_kernel(self.core_rev, length)
             y = y + T.flip_axis(conv1d_fft(T.flip_axis(zt, -1), k_rev), -1)

@@ -11,7 +11,7 @@ convolution handle (re, im) pairs internally and return real tensors.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit as _expit
@@ -115,8 +115,6 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return add(neg(self), other)
         return sub(other, self)
 
     def __mul__(self, other):
@@ -260,16 +258,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # -- arithmetic ---------------------------------------------------------
 
-# Python scalars take a dedicated path: wrapping them in float64 tensors
-# would silently promote float32 graphs (and their gradients) to float64.
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors. A Python scalar becomes a constant in the
+    other operand's dtype, so it never promotes a float32 graph to float64."""
+    if isinstance(a, (int, float)):
+        b = as_tensor(b)
+        return Tensor(a, dtype=b.dtype), b
+    a = as_tensor(a)
+    if isinstance(b, (int, float)):
+        return a, Tensor(b, dtype=a.dtype)
+    return a, as_tensor(b)
 
 
 def add(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        def bwd_scalar(g):
-            a._accum(g, owned=True)  # g is dead after this op's backward
-        return _record(a.data + b, (a,), bwd_scalar)
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def bwd(g):
@@ -285,11 +288,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        def bwd_scalar(g):
-            a._accum(g, owned=True)
-        return _record(a.data - b, (a,), bwd_scalar)
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
 
     def bwd(g):
@@ -303,11 +302,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        def bwd_scalar(g):
-            a._accum(g * b, owned=True)
-        return _record(a.data * b, (a,), bwd_scalar)
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def bwd(g):
@@ -320,11 +315,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        def bwd_scalar(g):
-            a._accum(g / b, owned=True)
-        return _record(a.data / b, (a,), bwd_scalar)
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data / b.data
 
     def bwd(g):
@@ -356,16 +347,6 @@ def power_scalar(a, p: float) -> Tensor:
     return _record(out_data, (a,), bwd)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        a._accum(g * out_data, owned=True)
-
-    return _record(out_data, (a,), bwd)
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
 
@@ -373,36 +354,6 @@ def log(a) -> Tensor:
         a._accum(g / a.data, owned=True)
 
     return _record(np.log(a.data), (a,), bwd)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        a._accum(g * 0.5 / out_data, owned=True)
-
-    return _record(out_data, (a,), bwd)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = _expit(a.data)  # stable for any finite input
-
-    def bwd(g):
-        a._accum(g * out_data * (1.0 - out_data), owned=True)
-
-    return _record(out_data, (a,), bwd)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        a._accum(g * (1.0 - out_data * out_data), owned=True)
-
-    return _record(out_data, (a,), bwd)
 
 
 def relu(a) -> Tensor:
@@ -516,39 +467,6 @@ def take(a, key) -> Tensor:
         a._accum(full, owned=True)
 
     return _record(np.array(out_data, copy=True), (a,), bwd)
-
-
-def concat(tensors: Iterable, axis: int = 0) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    if not parts:
-        raise ContractError("concat of an empty sequence")
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if part.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                part._accum(g[tuple(idx)])
-
-    return _record(out_data, tuple(parts), bwd)
-
-
-def stack(tensors: Iterable, axis: int = 0) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    if not parts:
-        raise ContractError("stack of an empty sequence")
-    out_data = np.stack([p.data for p in parts], axis=axis)
-
-    def bwd(g):
-        slabs = np.moveaxis(g, axis, 0)
-        for part, slab in zip(parts, slabs):
-            if part.requires_grad:
-                part._accum(slab)
-
-    return _record(out_data, tuple(parts), bwd)
 
 
 # -- reductions -----------------------------------------------------------

@@ -4,7 +4,7 @@ and post-hoc evaluation (metrics, thresholds, adjacency collection)."""
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .config import OptimConfig
 from .data import Dataset, collate, undersample_majority
 from .metrics import (binary_report, multiclass_report, multilabel_report,
                       auroc_auprc, threshold_select, threshold_select_multilabel)
-from .model import ModelConfig, SsmGraphModel, save_checkpoint
+from .model import ModelConfig, SsmGraphModel
 from .optim import AdamW, DivergenceError, cosine_warmup_lr
 
 
@@ -32,7 +32,6 @@ class TrainResult:
     best_epoch: int
     best_metric: float
     stopped_early: bool
-    diagnostic: str = ""
 
     def history_csv(self) -> str:
         buf = io.StringIO()

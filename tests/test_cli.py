@@ -264,6 +264,10 @@ class TestErrors:
         ({"data": {"train": 12345, "val": "val.bsg1"}}, [],
          "data.train: expected str or null, got int"),
         ([], [], "expected a JSON object, got list"),
+        # paths next to a spec, or a split next to paths, would be ignored
+        (None, ['data.train="missing.bsg1"'], "data.train: give either 'spec' or BSG1 paths"),
+        ({"data": {"train": "a.bsg1", "val": "b.bsg1", "split": [0.5, 0.5]}}, [],
+         "data.split: only a 'spec' is split"),
     ])
     def test_bad_run_config_exit_2(self, tiny_run, capsys, config, overrides, message):
         tmp_path, cfg_path, _ = tiny_run
@@ -274,6 +278,15 @@ class TestErrors:
             argv += ["--set", override]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    def test_directory_path_exit_2(self, tiny_run, capsys):
+        tmp_path, _, data_path = tiny_run
+        rc = main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        rc = main(["eval", "--checkpoint", str(tmp_path), "--data", str(data_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "Is a directory" in capsys.readouterr().err
 
     def test_bad_dataset_file_exit_2(self, tmp_path):
         junk = tmp_path / "junk.bsg1"

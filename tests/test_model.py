@@ -227,6 +227,22 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.forward(x).logits.data,
                                       loaded.forward(x).logits.data)
 
+    def test_version_1_zeroes_reverse_skip(self, tmp_path):
+        # version 1 models never read core_rev.d_skip; version 2 adds it to the skip
+        model = build_model(desk_config(bidirectional=True), seed=5)
+        rev_skip = model.encoder.layers[0].core_rev.d_skip
+        assert np.all(rev_skip.data != 0)
+        raw = save_checkpoint(model, tmp_path / "v2.gs4m")
+        (tmp_path / "v1.gs4m").write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+        v2, _ = load_checkpoint(tmp_path / "v2.gs4m")
+        v1, _ = load_checkpoint(tmp_path / "v1.gs4m")
+        for (name, p2), (_, p1) in zip(v2.named_parameters(), v1.named_parameters()):
+            if name.endswith("core_rev.d_skip"):
+                np.testing.assert_array_equal(p2.data, rev_skip.data.astype(np.float32))
+                np.testing.assert_array_equal(p1.data, 0.0)
+            else:
+                np.testing.assert_array_equal(p1.data, p2.data)
+
     def test_truncation_detected(self, tmp_path):
         model = build_model(desk_config(), seed=0)
         path = tmp_path / "model.gs4m"

@@ -34,3 +34,23 @@ def test_third_party_imports_are_declared():
                    if name not in sys.stdlib_module_names and name != "ssmgraph"}
     assert third_party  # numpy and scipy at least
     assert third_party <= declared_dependencies()
+
+
+def test_no_unused_imports():
+    # __init__.py imports are re-exports
+    unused = []
+    for path in sorted((ROOT / "src" / "ssmgraph").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "annotations":
+                        imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused

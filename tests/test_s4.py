@@ -80,6 +80,7 @@ class TestKernel:
         core = make_core(rng, d=2, p=3)
         core.c_re.data[:] = 0.0
         core.c_im.data[:] = 0.0
+        core.d_skip.data[:] = 0.0
         k = materialize_kernel(core, 16)
         np.testing.assert_allclose(k.data, 0.0, atol=1e-15)
 
@@ -89,10 +90,7 @@ class TestKernel:
         k = materialize_kernel(core, length).data
         impulse = np.zeros(length)
         impulse[0] = 1.0
-        y = ssm_scan_recurrent(core, impulse)
-        expected = k.copy()
-        expected[:, 0] += core.d_skip.data  # y[t] = K[t] + d_skip*delta[t]
-        np.testing.assert_allclose(y, expected, atol=1e-8)
+        np.testing.assert_allclose(ssm_scan_recurrent(core, impulse), k, atol=1e-8)
 
     def test_bad_length(self, rng):
         with pytest.raises(ContractError):
@@ -115,7 +113,6 @@ class TestScan:
             u = rng.normal(size=length)
             k = materialize_kernel(core, length).data
             conv = np.array([np.convolve(u, k[i])[:length] for i in range(d)])
-            conv += core.d_skip.data[:, None] * u
             np.testing.assert_allclose(conv, ssm_scan_recurrent(core, u), atol=1e-8)
 
 
@@ -155,6 +152,11 @@ class TestS4Layer:
         y_uni = uni.forward(Tensor(x)).data
         y_bi = bi.forward(Tensor(x)).data
         assert np.abs(y_uni - y_bi).max() > 1e-8
+
+    def test_reverse_skip_gets_gradient(self, rng):
+        layer = S4Layer(4, 3, rng, bidirectional=True)
+        layer.forward(Tensor(rng.normal(size=(2, 10, 4)))).sum().backward()
+        assert np.abs(layer.core_rev.d_skip.grad).min() > 0
 
     def test_width_mismatch(self, rng):
         layer = S4Layer(4, 3, rng)
