@@ -39,14 +39,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")
     p.add_argument("--kind", choices=["correlation", "longrange"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--size", type=int, default=100)
-    p.add_argument("--n-sensors", type=int, default=6)
-    p.add_argument("--t-len", type=int, default=2048)
-    p.add_argument("--input-dim", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--class-balance", type=float, default=0.5)
-    p.add_argument("--marker-amplitude", type=float, default=1.5)
-    p.add_argument("--clique-corr", type=float, default=0.9)
+    # no defaults here: a flag left out takes DatasetSpec's default
+    p.add_argument("--size", type=int)
+    p.add_argument("--n-sensors", type=int)
+    p.add_argument("--t-len", type=int)
+    p.add_argument("--input-dim", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--class-balance", type=float)
+    p.add_argument("--marker-amplitude", type=float)
+    p.add_argument("--clique-corr", type=float)
 
     p = sub.add_parser("train", help="train a model from a JSON run config")
     p.add_argument("--config", required=True)
@@ -91,14 +92,13 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    from dataclasses import fields
+
     from .data import DatasetSpec, generate, save_bsg1
 
-    spec = DatasetSpec(kind=args.kind, n_sensors=args.n_sensors, t_len=args.t_len,
-                       input_dim=args.input_dim, size=args.size, seed=args.seed,
-                       class_balance=args.class_balance,
-                       marker_amplitude=args.marker_amplitude,
-                       clique_corr=args.clique_corr)
-    dataset = generate(spec)
+    given = {f.name: getattr(args, f.name) for f in fields(DatasetSpec)
+             if getattr(args, f.name) is not None}
+    dataset = generate(DatasetSpec(**given))
     save_bsg1(dataset, args.out)
     print(f"wrote {len(dataset)} records to {args.out}")
     return EXIT_OK
@@ -165,6 +165,9 @@ def cmd_eval(args) -> int:
     if args.permutations < 1:
         raise ConfigError(f"--permutations must be >= 1, got {args.permutations}")
     model, extra = load_checkpoint(args.checkpoint)
+    if args.adj_analysis and model.cfg.task == "multilabel":
+        raise ConfigError("--adj-analysis groups records by a single class index; "
+                          "a multilabel checkpoint has none")
     dataset = load_bsg1(args.data)
     check_labels(model.cfg, dataset)
     out_dir = Path(args.out)
@@ -175,8 +178,6 @@ def cmd_eval(args) -> int:
     _write_json(out_dir / "metrics.json", report)
 
     if args.adj_analysis:
-        if model.cfg.task == "multilabel":
-            raise ValueError("adjacency analysis groups records by a single class index")
         correct = predictions_correct(model, outputs, thresholds)
         means = class_mean_adjacency(outputs.graphs, outputs.labels, correct)
         for c, mat in sorted(means.items()):

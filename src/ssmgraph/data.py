@@ -63,18 +63,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def n_sensors(self) -> int:
-        return self.records[0].x.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.records[0].x.shape[2]
-
-    @property
-    def t_max(self) -> int:
-        return self.records[0].x.shape[1]
-
     def class_indices(self) -> np.ndarray:
         """Integer labels; multilabel datasets have no single class index."""
         if self.task == "multilabel":
@@ -147,8 +135,6 @@ def _ar1(rng: np.random.Generator, shape, phi: float) -> np.ndarray:
     for t in range(1, shape[-1]):
         out[..., t] = phi * out[..., t - 1] + scale * eps[..., t]
     return out
-
-
 
 
 def _labels_for(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:

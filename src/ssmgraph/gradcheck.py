@@ -9,20 +9,6 @@ import numpy as np
 from .tensor import ContractError, Tensor
 
 
-def _normalize_leaves(leaves) -> list[tuple[str, Tensor]]:
-    if isinstance(leaves, Mapping):
-        return list(leaves.items())
-    if isinstance(leaves, Tensor):
-        return [("leaf", leaves)]
-    out = []
-    for i, item in enumerate(leaves):
-        if isinstance(item, tuple):
-            out.append(item)
-        else:
-            out.append((f"leaf{i}", item))
-    return out
-
-
 def relative_error(analytic: float, numeric: float, floor: float = 1e-8) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
 
@@ -43,15 +29,15 @@ def numerical_gradient(fn: Callable[[], Tensor], leaf: Tensor, h: float = 1e-5) 
     return grad
 
 
-def backward_and_gradcheck(fn: Callable[[], Tensor], leaves, h: float = 1e-5):
+def backward_and_gradcheck(fn: Callable[[], Tensor], leaves: Mapping[str, Tensor],
+                           h: float = 1e-5):
     """Compare tape gradients of ``fn()`` against central differences.
 
     ``fn`` must rebuild a scalar loss from the leaves' current values so it
     can be re-evaluated under perturbation. Returns ``(max_rel_err, per_leaf)``
     where ``per_leaf`` maps each leaf name to its worst coordinate error.
     """
-    pairs = _normalize_leaves(leaves)
-    for _, leaf in pairs:
+    for leaf in leaves.values():
         leaf.zero_grad()
     loss = fn()
     if loss.shape != ():
@@ -60,7 +46,7 @@ def backward_and_gradcheck(fn: Callable[[], Tensor], leaves, h: float = 1e-5):
 
     per_leaf: dict[str, float] = {}
     worst = 0.0
-    for name, leaf in pairs:
+    for name, leaf in leaves.items():
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         numeric = numerical_gradient(fn, leaf, h)
         errs = [relative_error(a, n) for a, n in zip(analytic.ravel(), numeric.ravel())]

@@ -97,7 +97,9 @@ def attention_adjacency(h: Tensor, mq: Tensor, mk: Tensor, heads: int = 1) -> Te
     averaged over heads. ``h`` is (..., N, D); output rows sum to 1.
 
     ``mq`` and ``mk`` are (D, D); head ``i`` uses its own column block, so the
-    parameter count stays 2*D^2 regardless of the head count.
+    parameter count stays 2*D^2 regardless of the head count. The heads are
+    one tensor axis: Q becomes (..., H, N, d_head) and K^T (..., H, d_head, N),
+    so every head's scores come from one batched matmul and one softmax.
     """
     d = h.shape[-1]
     if mq.shape != (d, d) or mk.shape != (d, d):
@@ -105,15 +107,13 @@ def attention_adjacency(h: Tensor, mq: Tensor, mk: Tensor, heads: int = 1) -> Te
     if d % heads != 0:
         raise ContractError(f"width {d} not divisible by heads {heads}")
     d_head = d // heads
-    q = h @ mq
-    k = h @ mk
-    acc = None
-    for i in range(heads):
-        sl = slice(i * d_head, (i + 1) * d_head)
-        scores = (q[..., sl] @ T.swap_last2(k[..., sl])) / float(np.sqrt(d_head))
-        attn = T.softmax_lastdim(scores)
-        acc = attn if acc is None else acc + attn
-    return acc / float(heads)
+    split = h.shape[:-1] + (heads, d_head)                 # (..., N, H, d_head)
+    n = h.ndim - 2                                         # axis of N in ``split``
+    lead = tuple(range(n))
+    q = (h @ mq).reshape(split).transpose(lead + (n + 1, n, n + 2))
+    k_t = (h @ mk).reshape(split).transpose(lead + (n + 1, n + 2, n))
+    attn = T.softmax_lastdim((q @ k_t) / float(np.sqrt(d_head)))  # (..., H, N, N)
+    return attn.sum(axis=-3) / float(heads)
 
 
 def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
@@ -179,7 +179,7 @@ def degree_loss(w: Tensor) -> Tensor:
     """Connectivity penalty -(1/N) sum_i log(degree_i); isolated nodes
     contribute -log(DEG_EPS), keeping the value finite."""
     n = w.shape[-1]
-    return T.neg(T.log(_guarded_degree(w)).sum(axis=-1)) / float(n)
+    return T.log(_guarded_degree(w)).sum(axis=-1) / float(-n)
 
 
 def sparsity_loss(w: Tensor) -> Tensor:

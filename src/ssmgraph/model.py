@@ -1,8 +1,8 @@
 """Full model assembly: per-channel sequence encoder -> interval pooling ->
 graph structure learning -> GIN -> temporal/graph readout -> linear head.
 
-Also owns the total loss, parameter/MAC profiling, and the binary
-checkpoint format (magic "GS4M").
+Also owns the total loss, the graph learner's parameter/MAC cost model, and
+the binary checkpoint format (magic "GS4M").
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .gnn import ClassifierHead, GinLayer, PoolSpec, temporal_graph_readout
 from .graphlearn import (GslConfig, GslLayer, RegWeights, interval_mean_pool,
                          num_intervals, reg_loss_total)
 from .rnn import GruLayer
-from .s4 import S4Layer
+from .s4 import DT_MAX_DEFAULT, DT_MIN_DEFAULT, S4Layer
 from .tensor import ContractError, ShapeError, Tensor
 
 TASKS = ("binary", "multiclass", "multilabel")
@@ -55,8 +55,8 @@ class ModelConfig:
     task: str = "binary"
     fixed_graph: list | None = None  # used when use_gsl is False; identity if None
     dtype: str = "float64"
-    dt_min: float = 1e-3   # initialization bounds for the SSM step size
-    dt_max: float = 1e-1
+    dt_min: float = DT_MIN_DEFAULT   # initialization bounds for the SSM step size
+    dt_max: float = DT_MAX_DEFAULT
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -95,10 +95,6 @@ class ModelOutput:
     logits: Tensor              # (B, C)
     graphs: np.ndarray          # (B, n_d, N, N) adjacency values
     reg_loss: Tensor            # scalar, already averaged over graphs and batch
-
-    @property
-    def n_d(self) -> int:
-        return self.graphs.shape[1]
 
 
 class SequenceEncoder:
@@ -183,9 +179,6 @@ class SsmGraphModel:
         out += self.head.named_parameters("head.")
         return out
 
-    def parameter_count(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
     def assert_stable(self) -> None:
         self.encoder.assert_stable()
 
@@ -195,12 +188,8 @@ class SsmGraphModel:
 
     def forward(self, x, mask: np.ndarray | None = None, train: bool = False,
                 rng: np.random.Generator | None = None) -> ModelOutput:
-        """Run the full pipeline on a batch (B, N, T, M) (or one record (N, T, M))."""
+        """Run the full pipeline on a batch (B, N, T, M)."""
         x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.cfg.np_dtype))
-        if x.ndim == 3:
-            x = x.reshape((1,) + x.shape)
-            if mask is not None and np.ndim(mask) == 1:
-                mask = np.asarray(mask)[None, :]
         if x.ndim != 4:
             raise ShapeError(f"expected (B, N, T, M), got {x.shape}")
         if x.shape[1] != self.cfg.n_sensors:
@@ -275,17 +264,6 @@ def gsl_mac_estimate(n_sensors: int, d_model: int, t_len: int, r) -> int:
     """
     n_d = num_intervals(t_len, r)
     return n_d * n_sensors * GSL_MACS_NODE_FACTOR * d_model * d_model
-
-
-def profile(cfg: ModelConfig, t_len: int, seed: int = 0) -> dict:
-    model = build_model(cfg, seed)
-    return {
-        "param_count": model.parameter_count(),
-        "gsl_param_count": gsl_param_count(cfg.d_model) if cfg.use_gsl else 0,
-        "gsl_mac_estimate": (gsl_mac_estimate(cfg.n_sensors, cfg.d_model, t_len, cfg.gsl.r)
-                             if cfg.use_gsl else 0),
-        "n_d": num_intervals(t_len, cfg.gsl.r),
-    }
 
 
 # -- checkpoint I/O ---------------------------------------------------------

@@ -128,14 +128,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return take(self, key)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis, keepdims)
@@ -149,7 +143,7 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
 
-    def transpose(self, axes=None):
+    def transpose(self, axes):
         return transpose(self, axes)
 
     def swap_last2(self):
@@ -327,15 +321,6 @@ def div(a, b) -> Tensor:
     return _record(out_data, (a, b), bwd)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        a._accum(-g, owned=True)
-
-    return _record(-a.data, (a,), bwd)
-
-
 def power_scalar(a, p: float) -> Tensor:
     """Elementwise x**p for a constant real exponent."""
     a = as_tensor(a)
@@ -377,25 +362,21 @@ def _flat_matmul(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeError("matmul requires at least 1-D operands")
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError("matmul requires at least 2-D operands")
     # stacked-lhs x plain-matrix is the hot path; one GEMM beats a batch loop
     flat = a.ndim > 2 and b.ndim == 2
     out_data = _flat_matmul(a.data, b.data) if flat else a.data @ b.data
 
     def bwd(g):
         if a.requires_grad:
-            if b.ndim == 1:
-                ga = np.expand_dims(g, -1) * b.data
-            elif flat:
+            if flat:
                 ga = _flat_matmul(g, b.data.T)
             else:
                 ga = g @ np.swapaxes(b.data, -1, -2)
             a._accum(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
-            if a.ndim == 1:
-                gb = np.expand_dims(a.data, -1) * np.expand_dims(g, -2)
-            elif flat:
+            if flat:
                 gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = np.swapaxes(a.data, -1, -2) @ g
@@ -414,15 +395,15 @@ def reshape(a, shape) -> Tensor:
     return _record(a.data.reshape(shape), (a,), bwd)
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    axes_t = tuple(axes) if axes is not None else tuple(range(a.ndim))[::-1]
-    inverse = np.argsort(axes_t)
+    axes = tuple(axes)
+    inverse = np.argsort(axes)
 
     def bwd(g):
         a._accum(g.transpose(inverse), owned=True)
 
-    return _record(a.data.transpose(axes_t), (a,), bwd)
+    return _record(a.data.transpose(axes), (a,), bwd)
 
 
 def swap_last2(a) -> Tensor:
@@ -443,30 +424,6 @@ def flip_axis(a, axis: int) -> Tensor:
         a._accum(np.flip(g, axis=axis), owned=True)
 
     return _record(np.flip(a.data, axis=axis), (a,), bwd)
-
-
-def _is_basic_key(key) -> bool:
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(p, (slice, int, type(Ellipsis), type(None))) for p in parts)
-
-
-def take(a, key) -> Tensor:
-    """Indexing with scatter backward. Basic (slice/int) keys hit every
-    position at most once, so the gradient is a plain assignment; fancy
-    keys fall back to the accumulating scatter."""
-    a = as_tensor(a)
-    out_data = a.data[key]
-    basic = _is_basic_key(key)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        if basic:
-            full[key] = g
-        else:
-            np.add.at(full, key, g)
-        a._accum(full, owned=True)
-
-    return _record(np.array(out_data, copy=True), (a,), bwd)
 
 
 # -- reductions -----------------------------------------------------------

@@ -2,7 +2,6 @@
 gradcheck, adjacency export, and exit codes."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +46,16 @@ class TestGenData:
         assert rc == 0
         ds = load_bsg1(out)
         assert len(ds) == 6
-        assert ds.t_max == 1024
+        assert ds.records[0].x.shape == (2, 1024, 1)
+
+    @pytest.mark.parametrize("kind", ["correlation", "longrange"])
+    def test_defaults_are_dataset_spec_defaults(self, tmp_path, kind):
+        # a run config's data.spec and gen-data must generate the same records
+        from ssmgraph.data import DatasetSpec, generate, save_bsg1
+
+        out = tmp_path / "d.bsg1"
+        assert main(["gen-data", "--kind", kind, "--out", str(out)]) == 0
+        assert out.read_bytes() == save_bsg1(generate(DatasetSpec(kind=kind)), None)
 
 
 class TestTrainEval:
@@ -140,6 +148,29 @@ class TestTrainEval:
                    "--adj-analysis", "--permutations", "-1"])
         assert rc == 2
         assert "--permutations" in capsys.readouterr().err
+
+    def test_adj_analysis_multilabel_rejected_before_writing(self, tmp_path, capsys):
+        from ssmgraph.config import parse_model_config
+        from ssmgraph.data import Dataset, SignalRecord, save_bsg1
+        from ssmgraph.model import build_model, save_checkpoint
+
+        rng = np.random.default_rng(0)
+        records = [SignalRecord(x=rng.normal(size=(3, 16, 1)), y=rng.integers(0, 2, 3),
+                                mask=np.ones(16, dtype=bool), true_length=16,
+                                record_id=f"r{i}") for i in range(4)]
+        data_path = tmp_path / "ml.bsg1"
+        save_bsg1(Dataset(records=records, task="multilabel", n_classes=3), data_path)
+        cfg = parse_model_config({"n_sensors": 3, "d_model": 4, "s4_depth": 1, "p_states": 2,
+                                  "gsl": {"r": "full", "knn_k": 1, "heads": 1},
+                                  "n_classes": 3, "task": "multilabel"})
+        ckpt = tmp_path / "model.gs4m"
+        save_checkpoint(build_model(cfg, seed=0), ckpt)
+        eval_dir = tmp_path / "eval"
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_path),
+                   "--out", str(eval_dir), "--adj-analysis"])
+        assert rc == 2
+        assert "--adj-analysis" in capsys.readouterr().err
+        assert not (eval_dir / "metrics.json").exists()
 
     def test_set_override(self, tiny_run):
         tmp_path, cfg_path, _ = tiny_run

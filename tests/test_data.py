@@ -135,7 +135,7 @@ class TestBsg1:
         save_bsg1(ds, path)
         loaded = load_bsg1(path)
         assert loaded.records[0].true_length == 8
-        assert loaded.t_max == 12
+        assert loaded.records[0].x.shape == (2, 12, 1)
         assert np.all(loaded.records[0].x[:, 8:] == 0)
 
     def test_multilabel_bitmask(self, tmp_path, rng):

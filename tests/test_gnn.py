@@ -9,7 +9,7 @@ from ssmgraph import tensor as T
 from ssmgraph.gnn import ClassifierHead, GinLayer, PoolSpec, temporal_graph_readout
 from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.model import SequenceEncoder
-from ssmgraph.rnn import GruLayer, gru_sequence
+from ssmgraph.rnn import GruLayer
 from ssmgraph.tensor import ContractError, Tensor
 
 

@@ -11,7 +11,7 @@ from ssmgraph.graphlearn import (DEG_EPS, GslConfig, GslLayer, RegWeights,
                                  knn_graph_cosine, num_intervals,
                                  reg_loss_total, smoothness_loss,
                                  sparsity_loss, write_adjacency_csv)
-from ssmgraph.tensor import ContractError, Tensor
+from ssmgraph.tensor import ContractError, Tape, Tensor
 
 
 class TestIntervalMeanPool:
@@ -77,23 +77,45 @@ class TestAttentionAdjacency:
             np.testing.assert_allclose(w.data.sum(axis=-1), np.ones(5), atol=1e-9)
 
     def test_multihead_is_head_mean(self, rng):
-        h = Tensor(rng.normal(size=(4, 6)))
-        mq = Tensor(rng.normal(size=(6, 6)))
-        mk = Tensor(rng.normal(size=(6, 6)))
-        w2 = attention_adjacency(h, mq, mk, heads=2).data
-        per_head = []
-        for i in range(2):
-            sl = slice(3 * i, 3 * (i + 1))
-            mqh = np.zeros((6, 6))
-            mkh = np.zeros((6, 6))
-            mqh[:, sl] = mq.data[:, sl]
-            mkh[:, sl] = mk.data[:, sl]
-            q = h.data @ mqh[:, sl]
-            k = h.data @ mkh[:, sl]
-            s = q @ k.T / np.sqrt(3)
-            e = np.exp(s - s.max(axis=1, keepdims=True))
-            per_head.append(e / e.sum(axis=1, keepdims=True))
-        np.testing.assert_allclose(w2, np.mean(per_head, axis=0), atol=1e-12)
+        for shape, heads in (((4, 6), 2), ((2, 3, 5, 8), 2), ((2, 3, 5, 8), 4)):
+            d = shape[-1]
+            d_head = d // heads
+            h = Tensor(rng.normal(size=shape))
+            mq = Tensor(rng.normal(size=(d, d)))
+            mk = Tensor(rng.normal(size=(d, d)))
+            w = attention_adjacency(h, mq, mk, heads=heads).data
+            per_head = []
+            for i in range(heads):
+                sl = slice(d_head * i, d_head * (i + 1))
+                q = h.data @ mq.data[:, sl]
+                k = h.data @ mk.data[:, sl]
+                s = q @ np.swapaxes(k, -1, -2) / np.sqrt(d_head)
+                e = np.exp(s - s.max(axis=-1, keepdims=True))
+                per_head.append(e / e.sum(axis=-1, keepdims=True))
+            np.testing.assert_allclose(w, np.mean(per_head, axis=0), atol=1e-12,
+                                       err_msg=f"shape {shape}, heads {heads}")
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    def test_multihead_gradcheck(self, rng, heads):
+        h = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+        mq = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        mk = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(2, 2, 3, 3)))
+
+        def loss():
+            return (attention_adjacency(h, mq, mk, heads=heads) * weight).sum()
+
+        worst, per = backward_and_gradcheck(loss, {"h": h, "mq": mq, "mk": mk})
+        assert worst <= 1e-6, per
+
+    def test_tape_ops_independent_of_heads(self, rng):
+        # heads are a tensor axis, not a Python loop over head slices
+        h = Tensor(rng.normal(size=(2, 3, 5, 8)), requires_grad=True)
+        mq = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+        mk = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+        counts = {len(Tape.trace(attention_adjacency(h, mq, mk, heads=heads)).ops)
+                  for heads in (1, 2, 4, 8)}
+        assert len(counts) == 1, counts
 
 
 class TestKnnGraph:

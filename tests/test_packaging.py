@@ -39,7 +39,8 @@ def test_third_party_imports_are_declared():
 def test_no_unused_imports():
     # __init__.py imports are re-exports
     unused = []
-    for path in sorted((ROOT / "src" / "ssmgraph").glob("*.py")):
+    for path in sorted([*(ROOT / "src" / "ssmgraph").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -51,6 +52,7 @@ def test_no_unused_imports():
                     if name != "annotations":
                         imported[name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}"
+                   for name, line in imported.items()
                    if name not in used]
     assert not unused, unused

@@ -202,7 +202,9 @@ class TestS4Encoder:
         enc = s4_encoder(1, 3, 1, 2, rng)
         x = Tensor(rng.normal(size=(1, 3, 8, 1)), requires_grad=True)
         out = enc.encode(x)
-        out[0, 1].sum().backward()
+        grad_out = np.zeros(out.shape)
+        grad_out[0, 1] = 1.0  # seeds the gradient of out[0, 1].sum()
+        out.backward(grad_out)
         grad = x.grad
         assert np.abs(grad[0, 1]).max() > 0
         np.testing.assert_allclose(grad[0, 0], 0.0, atol=1e-15)
