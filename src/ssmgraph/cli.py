@@ -234,6 +234,10 @@ def cmd_export_adj(args) -> int:
     dataset = load_bsg1(args.data)
     check_labels(model.cfg, dataset)
     wanted = None if args.records == "all" else set(args.records.split(","))
+    if wanted is not None:
+        missing = wanted - {r.record_id for r in dataset.records}
+        if missing:
+            raise ValueError(f"records not in dataset: {sorted(missing)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = collect_outputs(model, dataset)
@@ -244,10 +248,6 @@ def cmd_export_adj(args) -> int:
         for t in range(graphs.shape[0]):
             write_adjacency_csv(graphs[t], out_dir / f"{rid}_t{t + 1}.csv")
             written += 1
-    if wanted:
-        missing = wanted - set(outputs.record_ids)
-        if missing:
-            raise ValueError(f"records not in dataset: {sorted(missing)}")
     print(f"wrote {written} adjacency files to {out_dir}")
     return EXIT_OK
 

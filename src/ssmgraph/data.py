@@ -126,15 +126,17 @@ class DatasetSpec:
         return max(2, self.n_sensors // 2)
 
 
-def _ar1(rng: np.random.Generator, shape, phi: float) -> np.ndarray:
-    """Stationary unit-variance AR(1) noise along the last axis."""
-    eps = rng.normal(size=shape)
-    out = np.empty_like(eps)
-    out[..., 0] = eps[..., 0]
+def _ar1(eps: np.ndarray, phi: float) -> np.ndarray:
+    """Turn unit normal noise into stationary unit-variance AR(1) noise along
+    the last axis, in place: x_0 = eps_0, x_t = phi * x_(t-1) + sqrt(1 - phi^2) * eps_t.
+
+    The recurrence takes one Python step per timestep whatever the leading
+    shape, so callers filter every stream of one phi in one call.
+    """
     scale = np.sqrt(1.0 - phi * phi)
-    for t in range(1, shape[-1]):
-        out[..., t] = phi * out[..., t - 1] + scale * eps[..., t]
-    return out
+    for t in range(1, eps.shape[-1]):
+        eps[..., t] = phi * eps[..., t - 1] + scale * eps[..., t]
+    return eps
 
 
 def _labels_for(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
@@ -175,24 +177,33 @@ def gen_correlation_task(spec: DatasetSpec) -> Dataset:
     w_fast = np.sqrt(FAST_FRAC)
     w_slow = np.sqrt(SLOW_FRAC)
     w_level = np.sqrt(LEVEL_FRAC)
-    records = []
+    n = spec.n_sensors
+    # per record, row n is the clique's shared stream
+    fast = np.empty((spec.size, n + 1, spec.t_len))
+    slow = np.empty((spec.size, n + 1, spec.t_len))
+    levels = np.empty((spec.size, n, 2))                  # one level per half
+    level_shared = np.empty(spec.size)
     for i, child in enumerate(ss.spawn(spec.size)):
         rng = np.random.default_rng(child)
-        fast = _ar1(rng, (spec.n_sensors, spec.t_len), NOISE_PHI)
-        fast_shared = _ar1(rng, (spec.t_len,), NOISE_PHI)
-        slow = _ar1(rng, (spec.n_sensors, spec.t_len), SLOW_PHI)
-        slow_shared = _ar1(rng, (spec.t_len,), SLOW_PHI)
-        levels = rng.normal(size=(spec.n_sensors, 2))   # one level per half
-        level_shared = rng.normal()
+        fast[i, :n] = rng.normal(size=(n, spec.t_len))
+        fast[i, n] = rng.normal(size=(spec.t_len,))
+        slow[i, :n] = rng.normal(size=(n, spec.t_len))
+        slow[i, n] = rng.normal(size=(spec.t_len,))
+        levels[i] = rng.normal(size=(n, 2))
+        level_shared[i] = rng.normal()
+    _ar1(fast, NOISE_PHI)
+    _ar1(slow, SLOW_PHI)
+    records = []
+    for i in range(spec.size):
         if labels[i] == 1:
-            fast[:clique, half:] = (a * fast_shared[half:]
-                                    + b * fast[:clique, half:])
-            slow[:clique, half:] = (a * slow_shared[half:]
-                                    + b * slow[:clique, half:])
-            levels[:clique, 1] = level_shared
-        x = w_fast * fast + w_slow * slow
-        x[:, :half] += w_level * levels[:, :1]
-        x[:, half:] += w_level * levels[:, 1:]
+            fast[i, :clique, half:] = (a * fast[i, n, half:]
+                                       + b * fast[i, :clique, half:])
+            slow[i, :clique, half:] = (a * slow[i, n, half:]
+                                       + b * slow[i, :clique, half:])
+            levels[i, :clique, 1] = level_shared[i]
+        x = w_fast * fast[i, :n] + w_slow * slow[i, :n]
+        x[:, :half] += w_level * levels[i, :, :1]
+        x[:, half:] += w_level * levels[i, :, 1:]
         x /= x.std()  # unit global std; a per-record scalar keeps correlations
         x = np.repeat(x[:, :, None], spec.input_dim, axis=2)
         records.append(SignalRecord(x=x, y=int(labels[i]),

@@ -27,10 +27,14 @@ TASKS = ("binary", "multiclass", "multilabel")
 ENCODERS = ("s4", "gru")
 
 CHECKPOINT_MAGIC = b"GS4M"
+# Version 3: each tensor follows its shape with a dtype tag and is stored in
+# the model's dtype, so a float64 model round-trips exactly. Versions 1 and 2
+# have no tag and store every tensor as float32.
 # Version 2: a bidirectional layer's skip term is core.d_skip + core_rev.d_skip.
 # Version 1 files load with every core_rev.d_skip zeroed, which was their
 # behaviour, since version 1 models never read that parameter.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+CHECKPOINT_DTYPES = {b"f4": np.dtype("<f4"), b"f8": np.dtype("<f8")}
 
 # Self-attention cost model: MACs per node per interval at width D.
 GSL_MACS_NODE_FACTOR = 64
@@ -270,7 +274,8 @@ def gsl_mac_estimate(n_sensors: int, d_model: int, t_len: int, r) -> int:
 
 
 def save_checkpoint(model: SsmGraphModel, path, extra: dict | None = None) -> bytes:
-    """Write magic, version, embedded config JSON, then named f32 tensors."""
+    """Write magic, version, embedded config JSON, then the named tensors,
+    each tagged with and stored in the model's dtype."""
     payload = {"config": asdict(model.cfg)}
     if extra:
         payload["extra"] = extra
@@ -289,7 +294,9 @@ def save_checkpoint(model: SsmGraphModel, path, extra: dict | None = None) -> by
         buf.write(struct.pack("<I", p.ndim))
         for dim in p.shape:
             buf.write(struct.pack("<I", dim))
-        buf.write(p.data.astype("<f4").tobytes())
+        stored = p.data.astype(p.data.dtype.newbyteorder("<"))
+        buf.write(stored.dtype.str[1:].encode("ascii"))      # b"f4" or b"f8"
+        buf.write(stored.tobytes())
     raw = buf.getvalue()
     if path is not None:
         with open(path, "wb") as fh:
@@ -318,7 +325,7 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
     if need(4) != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic at byte 0")
     version = struct.unpack("<I", need(4))[0]
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     blob_len = struct.unpack("<I", need(4))[0]
     payload = json.loads(need(blob_len).decode("utf-8"))
@@ -333,7 +340,13 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
         ndim = struct.unpack("<I", need(4))[0]
         shape = tuple(struct.unpack("<I", need(4))[0] for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(need(4 * count), dtype="<f4").reshape(shape)
+        dtype = np.dtype("<f4")
+        if version >= 3:
+            tag = need(2)
+            if tag not in CHECKPOINT_DTYPES:
+                raise CheckpointError(f"unknown dtype tag {tag!r} of {name!r}")
+            dtype = CHECKPOINT_DTYPES[tag]
+        values = np.frombuffer(need(dtype.itemsize * count), dtype=dtype).reshape(shape)
         if name not in params:
             raise CheckpointError(f"unknown parameter {name!r} in checkpoint")
         if params[name].shape != shape:

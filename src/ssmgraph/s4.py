@@ -12,6 +12,13 @@ map. The discrete system can run two ways:
   D, as in S4D (Gu et al., arXiv 2206.11893), or
 * a step-by-step recurrent scan (the value-level oracle path).
 
+The kernel's Vandermonde powers a_bar^t are computed the way numpy's
+``a_bar ** t`` computes them, so they are bit-identical to it. numpy raises
+a complex number to an integer power below 100 by repeated squaring, and
+from 100 on calls libm ``cpow``, which is exp(t * log(a_bar)). The split at
+t = 100 is therefore numpy's rule, not a tuning constant; the kernel only
+takes the complex log once per state instead of once per tap.
+
 A bidirectional layer runs a second core over the reversed sequence, so its
 skip term is the sum of both cores' D. Complex numbers appear only inside
 numpy; every tensor here is real.
@@ -84,9 +91,44 @@ def discretize_bilinear(core: SsmCore) -> tuple[np.ndarray, np.ndarray]:
     return _bilinear(core)[5:]
 
 
+# numpy's complex ** takes repeated squaring below this integer exponent
+# and libm cpow(a, n) = cexp(n * clog(a)) from it on.
+_NUMPY_SQUARING_LIMIT = 100
+
+
+def _vandermonde(a_bar: np.ndarray, length: int) -> np.ndarray:
+    """(d, p, L) complex128 powers a_bar^t for t < L, bit-identical to
+    ``a_bar[:, :, None] ** np.arange(length)``.
+
+    Taps below 100 are numpy's own ``**``; the rest are cpow's
+    exp(t * log(a_bar)) with the log hoisted out of the tap loop, written
+    in place. t * log(a_bar) is taken on the (re, im) float pairs, which
+    gives cpow's values; a complex multiply would make 0 * -inf = nan for
+    a zero state, whose log is -inf and whose powers are exp(-inf) = 0.
+    """
+    d, p = a_bar.shape
+    pairs = np.empty((d, p, length, 2))
+    powers = pairs.view(np.complex128)[..., 0]
+    head = min(length, _NUMPY_SQUARING_LIMIT)
+    np.power(a_bar[:, :, None], np.arange(head), out=powers[..., :head])
+    if length > head:
+        with np.errstate(divide="ignore"):                    # log(0) = -inf
+            log_a = np.log(a_bar)
+        np.multiply(log_a.view(np.float64).reshape(d, p, 1, 2),
+                    np.arange(head, length, dtype=np.float64)[:, None],
+                    out=pairs[:, :, head:, :])
+        np.exp(powers[..., head:], out=powers[..., head:])
+    return powers
+
+
 def materialize_kernel(core: SsmCore, length: int) -> Tensor:
     """The core's (d, L) impulse response as one differentiable op:
     K[:, t] = Re(sum_p c * a_bar^t * b_bar), plus d_skip at t = 0.
+
+    The powers a_bar^t are repeated squaring for t < 100 and
+    exp(t * log(a_bar)) from t = 100 on. That is numpy's own split for
+    ``**``, so the kernel equals one built with ``a_bar ** np.arange(L)``
+    bit for bit.
 
     The backward rule pushes the upstream gradient through the bilinear
     map analytically: every map is holomorphic in each complex parameter
@@ -100,7 +142,7 @@ def materialize_kernel(core: SsmCore, length: int) -> Tensor:
     params = core.named_parameters()
     lam, b, c, step, den, a_bar, b_bar = _bilinear(core)
     w = c * b_bar
-    powers = a_bar[:, :, None] ** np.arange(length)          # (d, p, L)
+    powers = _vandermonde(a_bar, length)                      # (d, p, L)
     dtype = core.d_skip.dtype
     out_data = np.einsum("dp,dpl->dl", w, powers).real.astype(dtype)
     out_data[:, 0] += core.d_skip.data

@@ -209,6 +209,18 @@ class TestExportAdj:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_unknown_record_rejected_before_writing(self, tiny_run):
+        tmp_path, cfg_path, data_path = tiny_run
+        out_dir = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"])
+        adj_dir = tmp_path / "adj"
+        rc = main(["export-adj", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
+                   "--data", str(data_path), "--records", "corr-00000,bogus",
+                   "--out", str(adj_dir)])
+        assert rc == 2
+        assert not adj_dir.exists()
+        assert not list(tmp_path.rglob("*_t1.csv"))
+
 
 class TestGradcheckCommand:
     def test_passes_at_desk_scale(self, capsys):

@@ -1,6 +1,10 @@
 """Assembled model: shape contracts, loss composition, ablation paths,
 profiling, checkpoints, and determinism."""
 
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -190,6 +194,26 @@ class TestProfile:
         assert gsl_param_count(128) == 32768  # unchanged by n_d
 
 
+def checkpoint_bytes(model, version: int) -> bytes:
+    """The GS4M layout of each version: from version 3 a dtype tag follows each
+    tensor's shape and the tensor keeps the model's dtype; before it, there is
+    no tag and every tensor is stored as float32."""
+    blob = json.dumps({"config": asdict(model.cfg)}, sort_keys=True).encode("utf-8")
+    params = model.named_parameters()
+    parts = [b"GS4M", struct.pack("<II", version, len(blob)), blob,
+             struct.pack("<I", len(params))]
+    for name, p in params:
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", p.ndim)]
+        parts += [struct.pack("<I", dim) for dim in p.shape]
+        if version >= 3:
+            tag = {np.float32: b"f4", np.float64: b"f8"}[p.data.dtype.type]
+            parts += [tag, p.data.astype("<" + tag.decode()).tobytes()]
+        else:
+            parts.append(p.data.astype("<f4").tobytes())
+    return b"".join(parts)
+
+
 class TestCheckpoint:
     def test_roundtrip_bitexact(self, rng, tmp_path):
         cfg = desk_config(dtype="float32")
@@ -214,13 +238,39 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.forward(x).logits.data,
                                       loaded.forward(x).logits.data)
 
+    def test_float64_roundtrip_bitexact(self, rng, tmp_path):
+        model = build_model(desk_config(dtype="float64"), seed=5)
+        path = tmp_path / "model.gs4m"
+        save_checkpoint(model, path)
+        loaded, _ = load_checkpoint(path)
+        for (n1, p1), (n2, p2) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert n1 == n2 and p2.data.dtype == np.float64
+            assert p1.data.tobytes() == p2.data.tobytes(), n1
+        assert np.any(model.encoder.layers[0].core.c_re.data.astype(np.float32)
+                      != model.encoder.layers[0].core.c_re.data)  # not float32 values
+        x = rng.normal(size=(2, 3, 16, 1))
+        assert (model.forward(x).logits.data.tobytes()
+                == loaded.forward(x).logits.data.tobytes())
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_version_3_layout(self, dtype):
+        model = build_model(desk_config(dtype=dtype), seed=5)
+        assert save_checkpoint(model, None) == checkpoint_bytes(model, 3)
+
+    def test_version_2_loads_as_float32(self, tmp_path):
+        model = build_model(desk_config(dtype="float64"), seed=5)
+        (tmp_path / "v2.gs4m").write_bytes(checkpoint_bytes(model, 2))
+        loaded, _ = load_checkpoint(tmp_path / "v2.gs4m")
+        for (_, p1), (_, p2) in zip(model.named_parameters(), loaded.named_parameters()):
+            np.testing.assert_array_equal(p2.data, p1.data.astype(np.float32))
+
     def test_version_1_zeroes_reverse_skip(self, tmp_path):
         # version 1 models never read core_rev.d_skip; version 2 adds it to the skip
         model = build_model(desk_config(bidirectional=True), seed=5)
         rev_skip = model.encoder.layers[0].core_rev.d_skip
         assert np.all(rev_skip.data != 0)
-        raw = save_checkpoint(model, tmp_path / "v2.gs4m")
-        (tmp_path / "v1.gs4m").write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+        (tmp_path / "v2.gs4m").write_bytes(checkpoint_bytes(model, 2))
+        (tmp_path / "v1.gs4m").write_bytes(checkpoint_bytes(model, 1))
         v2, _ = load_checkpoint(tmp_path / "v2.gs4m")
         v1, _ = load_checkpoint(tmp_path / "v1.gs4m")
         for (name, p2), (_, p1) in zip(v2.named_parameters(), v1.named_parameters()):

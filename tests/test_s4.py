@@ -1,11 +1,13 @@
 """State-space layer: bilinear discretization closed forms, kernel vs
 recurrent-scan equivalence, and encoder contracts."""
 
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
+from ssmgraph import s4
 from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.model import SequenceEncoder
 from ssmgraph.s4 import (S4Layer, SsmCore, discretize_bilinear, materialize_kernel,
@@ -18,8 +20,8 @@ def s4_encoder(input_dim, d_model, depth, p_states, rng, bidirectional=False):
     return SequenceEncoder(input_dim, d_model, depth, layer, rng)
 
 
-def make_core(rng, d=1, p=4):
-    core = SsmCore(d, p, rng)
+def make_core(rng, d=1, p=4, dtype=np.float64):
+    core = SsmCore(d, p, rng, dtype=dtype)
     # randomize while preserving stability (Re(lam) < 0 by construction)
     core.log_neg_re.data[:] = rng.uniform(-2.0, 1.0, (d, p))
     core.lam_im.data[:] = rng.normal(0.0, 3.0, (d, p))
@@ -95,6 +97,51 @@ class TestKernel:
     def test_bad_length(self, rng):
         with pytest.raises(ContractError):
             materialize_kernel(make_core(rng), 0)
+
+
+def kernel_and_grads(core, length, g):
+    """Kernel values and every parameter gradient for upstream gradient g."""
+    for _, param in core.named_parameters():
+        param.zero_grad()
+    k = materialize_kernel(core, length)
+    k.backward(g)
+    return [k.data] + [param.grad for _, param in core.named_parameters()]
+
+
+class TestVandermonde:
+    """The kernel's powers equal numpy's ``a_bar ** t`` bit for bit."""
+
+    @staticmethod
+    def edge_core(rng, dtype):
+        # feature 0 has dt = 1: lam = -2 gives a_bar = 0, lam = -4 gives -1/3
+        core = make_core(rng, d=3, p=4, dtype=dtype)
+        core.log_dt.data[0] = 0.0
+        core.log_neg_re.data[0, :2] = np.log([2.0, 4.0])
+        core.lam_im.data[0, :2] = 0.0
+        a_bar, _ = discretize_bilinear(core)
+        assert a_bar[0, 0] == 0.0 and a_bar[0, 1] == -1.0 / 3.0
+        return core
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, 2, 99, 100, 101, 1000, 2000])
+    def test_kernel_and_grads_equal_numpy_power(self, rng, monkeypatch, dtype, length):
+        for _ in range(3):
+            core = self.edge_core(rng, dtype)
+            g = rng.normal(size=(3, length)).astype(dtype)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kernel_and_grads(core, length, g)
+                a_bar, _ = discretize_bilinear(core)
+                ref_powers = a_bar[:, :, None] ** np.arange(length)
+                powers = s4._vandermonde(a_bar, length)
+            assert powers.tobytes() == ref_powers.tobytes()
+            assert powers[0, 0, 0] == 1.0 and np.all(powers[0, 0, 1:] == 0.0)
+            with monkeypatch.context() as m:
+                m.setattr(s4, "_vandermonde", lambda a, n: a[:, :, None] ** np.arange(n))
+                ref = kernel_and_grads(core, length, g)
+            for name, x, y in zip(["kernel"] + [n for n, _ in core.named_parameters()],
+                                  got, ref):
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 class TestScan:

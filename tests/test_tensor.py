@@ -283,7 +283,7 @@ class TestTensorInvariants:
         assert x.grad.shape == x.shape
 
     def test_nonfinite_forward_raises(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="divide by zero"):
             T.log(Tensor([0.0]))  # -inf under CHECK_FINITE
 
     def test_each_leaf_grad_applied_once(self):
