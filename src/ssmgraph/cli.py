@@ -223,6 +223,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_adj(args) -> int:
+    from dataclasses import replace
     from pathlib import Path
 
     from .data import load_bsg1
@@ -233,18 +234,18 @@ def cmd_export_adj(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_bsg1(args.data)
     check_labels(model.cfg, dataset)
-    wanted = None if args.records == "all" else set(args.records.split(","))
-    if wanted is not None:
+    if args.records != "all":
+        wanted = set(args.records.split(","))
         missing = wanted - {r.record_id for r in dataset.records}
         if missing:
             raise ValueError(f"records not in dataset: {sorted(missing)}")
+        dataset = replace(dataset, records=[r for r in dataset.records
+                                            if r.record_id in wanted])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = collect_outputs(model, dataset)
     written = 0
     for rid, graphs in zip(outputs.record_ids, outputs.graphs):
-        if wanted is not None and rid not in wanted:
-            continue
         for t in range(graphs.shape[0]):
             write_adjacency_csv(graphs[t], out_dir / f"{rid}_t{t + 1}.csv")
             written += 1

@@ -1,11 +1,10 @@
-"""Causal 1-D convolution via FFT, differentiable w.r.t. signal and kernel.
+"""Causal and two-sided 1-D convolution via FFT along axis -2 (time),
+differentiable w.r.t. signal and kernels; complex values never leave it.
 
-Complex values stay inside this module as (re, im) pairs / numpy internals;
-the tensor API only ever sees real arrays.
-
-The backward rule reuses the forward spectra: with zero-padding to
-n >= 2L-1, the needed correlations are circular, so
-corr(g, w)[s] = irfft(rfft(g) * conj(rfft(w)))[s] exactly on s in [0, L).
+With zero-padding to n >= 2L-1 every circular correlation is the linear
+one on [0, L): corr(g, w)[s] = irfft(rfft(g) * conj(rfft(w)))[s]. So the
+backward rule reuses the forward spectra, and a reverse-time kernel enters
+the forward product as a conjugate spectrum, in the same transforms.
 """
 
 from __future__ import annotations
@@ -23,41 +22,45 @@ def _next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def conv1d_fft(signal, kernel) -> Tensor:
-    """Causal convolution y[t] = sum_{s<=t} kernel[s] * signal[t-s].
+def conv1d_fft(signal, kernel, kernel_rev=None) -> Tensor:
+    """y[t] = sum_{s<=t} kernel[s] x[t-s] + sum_{s<L-t} kernel_rev[s] x[t+s].
 
-    Both operands share the last-axis length L; leading axes broadcast.
-    Computed by zero-padding to at least 2L-1 and multiplying real FFTs,
-    which makes the circular convolution equal the linear one on [0, L).
+    Time is axis -2 of every operand, with one length L; the other axes
+    broadcast, and the optional ``kernel_rev`` has ``kernel``'s shape.
     """
     x, k = as_tensor(signal), as_tensor(kernel)
-    if x.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"length mismatch: signal L={x.shape[-1]}, kernel L={k.shape[-1]}")
-    length = x.shape[-1]
+    r = None if kernel_rev is None else as_tensor(kernel_rev)
+    kernels = (k,) if r is None else (k, r)
+    if x.ndim < 2 or k.ndim < 2:
+        raise ShapeError("conv1d_fft operands need time on axis -2 and channels on -1")
+    length = x.shape[-2]
+    if k.shape[-2] != length:
+        raise ShapeError(f"length mismatch: signal L={length}, kernel L={k.shape[-2]}")
+    if r is not None and r.shape != k.shape:
+        raise ShapeError(f"kernel_rev shape {r.shape} != kernel shape {k.shape}")
     n = _next_pow2(2 * length - 1)
-    x_spec = sfft.rfft(x.data, n=n, axis=-1, workers=FFT_WORKERS)
-    k_spec = sfft.rfft(k.data, n=n, axis=-1, workers=FFT_WORKERS)
-    out_data = sfft.irfft(x_spec * k_spec, n=n, axis=-1, workers=FFT_WORKERS)[..., :length]
-    out_data = np.ascontiguousarray(out_data, dtype=x.data.dtype)
+    x_spec = sfft.rfft(x.data, n=n, axis=-2, workers=FFT_WORKERS)
+    spec = sfft.rfft(k.data, n=n, axis=-2, workers=FFT_WORKERS)
+    if r is not None:
+        spec += np.conj(sfft.rfft(r.data, n=n, axis=-2, workers=FFT_WORKERS))
+
+    def inverse(prod, dtype=None):
+        return np.ascontiguousarray(
+            sfft.irfft(prod, n=n, axis=-2, workers=FFT_WORKERS)[..., :length, :], dtype=dtype)
+
+    out_data = inverse(x_spec * spec, x.dtype)
 
     def bwd(g):
-        g_spec = sfft.rfft(g, n=n, axis=-1, workers=FFT_WORKERS)
+        g_spec = sfft.rfft(g, n=n, axis=-2, workers=FFT_WORKERS)
         if x.requires_grad:
-            gx = sfft.irfft(g_spec * np.conj(k_spec), n=n, axis=-1,
-                            workers=FFT_WORKERS)[..., :length]
-            x._accum(_unbroadcast(np.ascontiguousarray(gx), x.shape), owned=True)
-        if k.requires_grad:
-            prod = g_spec * np.conj(x_spec)
-            # collapse broadcast batch axes in the frequency domain: one
+            x._accum(_unbroadcast(inverse(g_spec * np.conj(spec)), x.shape), owned=True)
+        if any(w.requires_grad for w in kernels):
+            # reduce broadcast batch axes in the frequency domain: one
             # inverse transform instead of one per batch row
-            extra = prod.ndim - k.ndim
-            if extra > 0:
-                prod = prod.sum(axis=tuple(range(extra)))
-            axes = tuple(i for i, dim in enumerate(k.shape[:-1]) if dim == 1
-                         and prod.shape[i] != 1)
-            if axes:
-                prod = prod.sum(axis=axes, keepdims=True)
-            gk = sfft.irfft(prod, n=n, axis=-1, workers=FFT_WORKERS)[..., :length]
-            k._accum(np.ascontiguousarray(gk), owned=True)
+            prod = _unbroadcast(g_spec * np.conj(x_spec), spec.shape)
+            if k.requires_grad:
+                k._accum(inverse(prod), owned=True)
+            if r is not None and r.requires_grad:
+                r._accum(inverse(np.conj(prod)), owned=True)
 
-    return _record(out_data, (x, k), bwd)
+    return _record(out_data, (x,) + kernels, bwd)

@@ -19,9 +19,11 @@ from 100 on calls libm ``cpow``, which is exp(t * log(a_bar)). The split at
 t = 100 is therefore numpy's rule, not a tuning constant; the kernel only
 takes the complex log once per state instead of once per tap.
 
-A bidirectional layer runs a second core over the reversed sequence, so its
-skip term is the sum of both cores' D. Complex numbers appear only inside
-numpy; every tensor here is real.
+Activations stay (batch, time, features) with time on axis -2 and kernels
+are (L, d), so no layer transposes. A bidirectional layer's second core runs
+over the reversed sequence: an anti-causal kernel that enters the same FFT
+convolution as a conjugate spectrum, its skip term the sum of both cores'
+D. Complex numbers appear only inside numpy; every tensor here is real.
 """
 
 from __future__ import annotations
@@ -122,8 +124,9 @@ def _vandermonde(a_bar: np.ndarray, length: int) -> np.ndarray:
 
 
 def materialize_kernel(core: SsmCore, length: int) -> Tensor:
-    """The core's (d, L) impulse response as one differentiable op:
-    K[:, t] = Re(sum_p c * a_bar^t * b_bar), plus d_skip at t = 0.
+    """The core's (L, d) impulse response as one differentiable op, time on
+    axis 0 as ``conv1d_fft`` takes it: K[t] = Re(sum_p c * a_bar^t * b_bar),
+    plus d_skip at t = 0.
 
     The powers a_bar^t are repeated squaring for t < 100 and
     exp(t * log(a_bar)) from t = 100 on. That is numpy's own split for
@@ -148,7 +151,7 @@ def materialize_kernel(core: SsmCore, length: int) -> Tensor:
     out_data[:, 0] += core.d_skip.data
 
     def bwd(g):
-        g64 = g.astype(np.float64)
+        g64 = np.ascontiguousarray(g.T, dtype=np.float64)     # (d, L)
         s = np.einsum("dl,dpl->dp", g64, powers)              # sum_t g a_bar^t
         tpow = np.zeros_like(powers)
         if length > 1:
@@ -168,13 +171,13 @@ def materialize_kernel(core: SsmCore, length: int) -> Tensor:
             "b_re": gb.real.astype(dtype), "b_im": (-gb.imag).astype(dtype),
             "c_re": gc.real.astype(dtype), "c_im": (-gc.imag).astype(dtype),
             "log_dt": gd.real.sum(axis=1).astype(dtype) * step[:, 0].astype(dtype),
-            "d_skip": g[:, 0],
+            "d_skip": g[0],
         }
         for name, param in params:
             if param.requires_grad:
                 param._accum(grads[name])
 
-    return _record(out_data, [p for _, p in params], bwd)
+    return _record(out_data.T, [p for _, p in params], bwd)
 
 
 def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
@@ -202,11 +205,11 @@ def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
 class S4Layer:
     """Pre-norm S4 block: LN -> SSM conv (+skip) -> GLU gate -> dropout -> residual.
 
-    Bidirectional mode adds a second core run over the time-reversed sequence,
-    so the skip term is ``core.d_skip + core_rev.d_skip``; both directions
-    share the GLU output projection. A timestep ``mask`` zeroes padded steps
-    of the normalized signal before both convolutions, so the reverse
-    direction never reads past a record's true length.
+    Bidirectional mode adds the reverse kernel of a second core, run over the
+    time-reversed sequence, so the skip term is ``core.d_skip + core_rev.d_skip``;
+    both directions share the GLU output projection. A timestep ``mask`` zeroes
+    padded steps of the normalized signal before the convolution, so the
+    reverse direction never reads past a record's true length.
     """
 
     def __init__(self, d_model: int, p_states: int, rng: np.random.Generator,
@@ -245,12 +248,9 @@ class S4Layer:
         z = T.layer_norm_lastdim(x, self.ln_gamma, self.ln_beta)
         if mask is not None:
             z = z * mask  # LayerNorm(0) = ln_beta at padded steps
-        zt = z.swap_last2()                                   # (B, D, T)
-        y = conv1d_fft(zt, materialize_kernel(self.core, length))
-        if self.core_rev is not None:
-            k_rev = materialize_kernel(self.core_rev, length)
-            y = y + T.flip_axis(conv1d_fft(T.flip_axis(zt, -1), k_rev), -1)
-        y = y.swap_last2()                                    # (B, T, D)
+        kernel = materialize_kernel(self.core, length)
+        k_rev = None if self.core_rev is None else materialize_kernel(self.core_rev, length)
+        y = conv1d_fft(z, kernel, k_rev)
         proj = y @ self.w_glu + self.b_glu
         gate = T.glu_gate(proj)
         gate = T.dropout(gate, self.dropout, rng, train)

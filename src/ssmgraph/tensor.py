@@ -417,15 +417,6 @@ def swap_last2(a) -> Tensor:
     return _record(np.swapaxes(a.data, -1, -2), (a,), bwd)
 
 
-def flip_axis(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        a._accum(np.flip(g, axis=axis), owned=True)
-
-    return _record(np.flip(a.data, axis=axis), (a,), bwd)
-
-
 # -- reductions -----------------------------------------------------------
 
 
@@ -434,11 +425,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g, dtype=a.dtype), owned=True)
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(gg, a.shape).copy(), owned=True)
+        gg = g if (keepdims or axis is None) else np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(gg, a.shape).copy(), owned=True)
 
     return _record(out_data, (a,), bwd)
 
@@ -450,11 +438,8 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
 
     def bwd(g):
-        if axis is None:
-            a._accum(np.full(a.shape, g / count, dtype=a.dtype), owned=True)
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(gg / count, a.shape).copy(), owned=True)
+        gg = g if (keepdims or axis is None) else np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(gg / count, a.shape).copy(), owned=True)
 
     return _record(out_data, (a,), bwd)
 

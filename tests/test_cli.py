@@ -200,6 +200,36 @@ class TestExportAdj:
         rows = (adj_dir / files[0]).read_text().strip().split("\n")
         assert len(rows) == 3 and len(rows[0].split(",")) == 3
 
+    def test_subset_runs_only_requested_records(self, tiny_run, monkeypatch):
+        import ssmgraph.train
+
+        tmp_path, cfg_path, data_path = tiny_run
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model"]["bidirectional"] = True
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"])
+        seen = []
+        collect = ssmgraph.train.collect_outputs
+
+        def counting_collect(model, dataset, *args, **kwargs):
+            seen.append([r.record_id for r in dataset.records])
+            return collect(model, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(ssmgraph.train, "collect_outputs", counting_collect)
+        exports = {}
+        for records in ("corr-00005", "all"):
+            adj_dir = tmp_path / f"adj-{records}"
+            rc = main(["export-adj", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
+                       "--data", str(data_path), "--records", records,
+                       "--out", str(adj_dir)])
+            assert rc == 0
+            exports[records] = {p.name: p.read_bytes() for p in adj_dir.glob("*.csv")}
+        assert seen[0] == ["corr-00005"] and len(seen[1]) == 24
+        assert sorted(exports["corr-00005"]) == [f"corr-00005_t{t}.csv" for t in range(1, 5)]
+        for name, data in exports["corr-00005"].items():
+            assert data == exports["all"][name], name
+
     def test_unknown_record_rejected(self, tiny_run):
         tmp_path, cfg_path, data_path = tiny_run
         out_dir = tmp_path / "run"

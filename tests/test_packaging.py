@@ -56,3 +56,31 @@ def test_no_unused_imports():
                    for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_every_tensor_op_is_used_in_src():
+    # a public function or class of the tensor engine that only tests call
+    # is dead weight on the tape API
+    src = ROOT / "src" / "ssmgraph"
+    engine = ast.parse((src / "tensor.py").read_text())
+    public = [node for node in engine.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    trees = [engine] + [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))
+                        if path.name != "tensor.py"]
+
+    def referenced(name, definition):
+        for tree in trees:
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if node is definition:
+                    continue
+                if (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name):
+                    return True
+                stack.extend(ast.iter_child_nodes(node))
+        return False
+
+    unused = [node.name for node in public if not referenced(node.name, node)]
+    assert not unused, unused

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from ssmgraph import s4
+from ssmgraph.fftconv import conv1d_fft
 from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.model import SequenceEncoder
 from ssmgraph.s4 import (S4Layer, SsmCore, discretize_bilinear, materialize_kernel,
                          ssm_scan_recurrent)
-from ssmgraph.tensor import ContractError, Tensor
+from ssmgraph.tensor import ContractError, Tape, Tensor
 
 
 def s4_encoder(input_dim, d_model, depth, p_states, rng, bidirectional=False):
@@ -76,7 +77,7 @@ class TestKernel:
         core = make_core(rng, d=1, p=1)
         set_scalar_core(core, 0.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j, 0.1)
         k = materialize_kernel(core, 8)
-        np.testing.assert_allclose(k.data, np.full((1, 8), 0.1), atol=1e-12)
+        np.testing.assert_allclose(k.data, np.full((8, 1), 0.1), atol=1e-12)
 
     def test_zero_c_zero_kernel(self, rng):
         core = make_core(rng, d=2, p=3)
@@ -89,7 +90,7 @@ class TestKernel:
     def test_kernel_matches_scan_impulse(self, rng):
         core = make_core(rng, d=3, p=4)
         length = 64
-        k = materialize_kernel(core, length).data
+        k = materialize_kernel(core, length).data.T
         impulse = np.zeros(length)
         impulse[0] = 1.0
         np.testing.assert_allclose(ssm_scan_recurrent(core, impulse), k, atol=1e-8)
@@ -127,7 +128,7 @@ class TestVandermonde:
     def test_kernel_and_grads_equal_numpy_power(self, rng, monkeypatch, dtype, length):
         for _ in range(3):
             core = self.edge_core(rng, dtype)
-            g = rng.normal(size=(3, length)).astype(dtype)
+            g = rng.normal(size=(3, length)).astype(dtype).T
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = kernel_and_grads(core, length, g)
@@ -158,15 +159,31 @@ class TestScan:
             length = int(rng.integers(4, 129))
             core = make_core(rng, d=d, p=p)
             u = rng.normal(size=length)
-            k = materialize_kernel(core, length).data
+            k = materialize_kernel(core, length).data.T
             conv = np.array([np.convolve(u, k[i])[:length] for i in range(d)])
             np.testing.assert_allclose(conv, ssm_scan_recurrent(core, u), atol=1e-8)
+
+    def test_bidirectional_conv_equals_forward_plus_reversed_scan(self, rng):
+        # the reverse kernel's conjugate spectrum is the scan of the flipped input
+        for _ in range(50):
+            d = int(rng.integers(1, 4))
+            p = int(rng.integers(1, 6))
+            length = int(rng.integers(4, 129))
+            core, core_rev = make_core(rng, d=d, p=p), make_core(rng, d=d, p=p)
+            core.d_skip.data[:] = rng.normal(size=d)
+            core_rev.d_skip.data[:] = rng.normal(size=d)
+            u = rng.normal(size=(length, d))
+            conv = conv1d_fft(Tensor(u), materialize_kernel(core, length),
+                              materialize_kernel(core_rev, length)).data
+            scan = (ssm_scan_recurrent(core, u.T)
+                    + ssm_scan_recurrent(core_rev, u.T[:, ::-1])[:, ::-1])
+            np.testing.assert_allclose(conv, scan.T, atol=1e-8)
 
 
 class TestKernelGradients:
     def test_kernel_gradcheck_all_params(self, rng):
         core = make_core(rng, d=2, p=3)
-        w = Tensor(rng.normal(size=(2, 12)))
+        w = Tensor(rng.normal(size=(2, 12)).T)
 
         def loss():
             return (materialize_kernel(core, 12) * w).sum()
@@ -204,6 +221,14 @@ class TestS4Layer:
         layer = S4Layer(4, 3, rng, bidirectional=True)
         layer.forward(Tensor(rng.normal(size=(2, 10, 4)))).sum().backward()
         assert np.abs(layer.core_rev.d_skip.grad).min() > 0
+
+    def test_bidirectional_adds_one_tape_op(self, rng):
+        # the reverse direction is one kernel op; it shares the layer's convolution
+        x = Tensor(rng.normal(size=(2, 10, 4)))
+        counts = [len(Tape.trace(S4Layer(4, 3, np.random.default_rng(0),
+                                         bidirectional=bidir).forward(x)).ops)
+                  for bidir in (False, True)]
+        assert counts[1] == counts[0] + 1, counts
 
     def test_width_mismatch(self, rng):
         layer = S4Layer(4, 3, rng)

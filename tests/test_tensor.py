@@ -11,23 +11,41 @@ from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.tensor import ContractError, NumericError, ShapeError, Tensor
 
 
+def col(values) -> Tensor:
+    """A 1-D sequence as one channel: time on axis -2."""
+    return Tensor(np.asarray(values, dtype=float)[:, None])
+
+
+def two_sided_direct(x: np.ndarray, k: np.ndarray, k_rev: np.ndarray) -> np.ndarray:
+    """O(L^2) oracle, time on axis -2: a causal sum over k plus an
+    anti-causal sum over k_rev, y[t] += k_rev[s] * x[t+s]."""
+    length = x.shape[-2]
+    out = np.zeros(np.broadcast_shapes(x.shape, k.shape))
+    for t in range(length):
+        for s in range(t + 1):
+            out[..., t, :] += k[..., s, :] * x[..., t - s, :]
+        for s in range(length - t):
+            out[..., t, :] += k_rev[..., s, :] * x[..., t + s, :]
+    return out
+
+
 class TestConv1dFFT:
     def test_identity_kernel(self):
-        out = conv1d_fft(Tensor([1.0, 0.0, 0.0, 0.0]), Tensor([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        out = conv1d_fft(col([1.0, 0.0, 0.0, 0.0]), col([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(out.data[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_ones_ramp(self):
         # direct oracle: [1,1,1] * [1,1,1] -> [1,2,3]
         expected = conv_direct(np.ones(3), np.ones(3))
         np.testing.assert_allclose(expected, [1.0, 2.0, 3.0])
-        out = conv1d_fft(Tensor([1.0, 1.0, 1.0]), Tensor([1.0, 1.0, 1.0]))
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        out = conv1d_fft(col([1.0, 1.0, 1.0]), col([1.0, 1.0, 1.0]))
+        np.testing.assert_allclose(out.data[:, 0], expected, atol=1e-12)
 
     def test_random_l64_matches_direct(self, rng):
         x = rng.normal(size=64)
         k = rng.normal(size=64)
-        out = conv1d_fft(Tensor(x), Tensor(k))
-        np.testing.assert_allclose(out.data, conv_direct(x, k), atol=1e-10)
+        out = conv1d_fft(col(x), col(k))
+        np.testing.assert_allclose(out.data[:, 0], conv_direct(x, k), atol=1e-10)
 
     def test_matches_direct_many_lengths(self, rng):
         # randomized equivalence across lengths <= 128
@@ -35,32 +53,80 @@ class TestConv1dFFT:
             length = int(rng.integers(1, 129))
             x = rng.normal(size=length)
             k = rng.normal(size=length)
-            out = conv1d_fft(Tensor(x), Tensor(k))
-            np.testing.assert_allclose(out.data, conv_direct(x, k), atol=1e-9)
+            out = conv1d_fft(col(x), col(k))
+            np.testing.assert_allclose(out.data[:, 0], conv_direct(x, k), atol=1e-9)
 
     def test_batched_broadcast(self, rng):
         x = rng.normal(size=(2, 3, 17))
         k = rng.normal(size=(3, 17))
-        out = conv1d_fft(Tensor(x), Tensor(k))
-        assert out.shape == (2, 3, 17)
+        out = conv1d_fft(Tensor(np.swapaxes(x, -1, -2)), Tensor(k.T))
+        assert out.shape == (2, 17, 3)
         for b in range(2):
             for c in range(3):
-                np.testing.assert_allclose(out.data[b, c], conv_direct(x[b, c], k[c]), atol=1e-10)
+                np.testing.assert_allclose(out.data[b, :, c], conv_direct(x[b, c], k[c]),
+                                           atol=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            conv1d_fft(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+            conv1d_fft(col([1.0, 2.0]), col([1.0, 2.0, 3.0]))
 
     def test_gradcheck_both_inputs(self, rng):
-        x = Tensor(rng.normal(size=9), requires_grad=True)
-        k = Tensor(rng.normal(size=9), requires_grad=True)
-        w = Tensor(rng.normal(size=9))
+        x = Tensor(rng.normal(size=(9, 1)), requires_grad=True)
+        k = Tensor(rng.normal(size=(9, 1)), requires_grad=True)
+        w = Tensor(rng.normal(size=(9, 1)))
 
         def loss():
             return (conv1d_fft(x, k) * w).sum()
 
         worst, _ = backward_and_gradcheck(loss, {"x": x, "k": k})
         assert worst <= 1e-6
+
+
+class TestTwoSidedConv:
+    """conv1d_fft(x, k, k_rev): the reverse kernel as a conjugate spectrum."""
+
+    @pytest.mark.parametrize("length", range(1, 34))
+    def test_matches_direct_two_sided_sum(self, rng, length):
+        x = rng.normal(size=(2, length, 3))
+        k = rng.normal(size=(length, 3))
+        k_rev = rng.normal(size=(length, 3))
+        out = conv1d_fft(Tensor(x), Tensor(k), Tensor(k_rev))
+        assert out.shape == (2, length, 3)
+        np.testing.assert_allclose(out.data, two_sided_direct(x, k, k_rev), atol=1e-10)
+
+    def test_broadcast_batch_axis(self, rng):
+        # a size-1 batch axis on the kernels broadcasts against the signal
+        x = rng.normal(size=(3, 2, 11, 4))
+        k = rng.normal(size=(1, 11, 4))
+        k_rev = rng.normal(size=(1, 11, 4))
+        out = conv1d_fft(Tensor(x), Tensor(k), Tensor(k_rev))
+        assert out.shape == (3, 2, 11, 4)
+        np.testing.assert_allclose(out.data, two_sided_direct(x, k, k_rev), atol=1e-10)
+
+    def test_gradcheck_signal_and_both_kernels(self, rng):
+        x = Tensor(rng.normal(size=(2, 9, 2)), requires_grad=True)
+        k = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
+        k_rev = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 9, 2)))
+
+        def loss():
+            return (conv1d_fft(x, k, k_rev) * w).sum()
+
+        worst, per = backward_and_gradcheck(loss, {"x": x, "k": k, "k_rev": k_rev})
+        assert worst <= 1e-6, per
+
+    @pytest.mark.parametrize("shapes", [((5,), (5, 1), None), ((5, 1), (5,), None),
+                                        ((5, 1), (5, 1), (5,))])
+    def test_operand_below_2d(self, shapes):
+        x, k, k_rev = (None if s is None else Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(ShapeError):
+            conv1d_fft(x, k, k_rev)
+
+    def test_reverse_kernel_length_mismatch(self):
+        # the channel axis agrees; only axis -2 differs
+        with pytest.raises(ShapeError):
+            conv1d_fft(Tensor(np.ones((5, 2))), Tensor(np.ones((5, 2))),
+                       Tensor(np.ones((4, 2))))
 
 
 class TestFFTRoundTrip:
@@ -70,7 +136,7 @@ class TestFFTRoundTrip:
         x = rng.normal(size=length)
         impulse = np.zeros(length)
         impulse[0] = 1.0
-        np.testing.assert_allclose(conv1d_fft(Tensor(x), Tensor(impulse)).data, x, atol=1e-10)
+        np.testing.assert_allclose(conv1d_fft(col(x), col(impulse)).data[:, 0], x, atol=1e-10)
 
 
 class TestSoftmax:
@@ -221,9 +287,6 @@ class TestOpGradients:
 
         worst, _ = backward_and_gradcheck(loss, {"x": x})
         assert worst <= 1e-6
-
-    def test_flip(self, rng):
-        _gradcheck_unary(lambda t: T.flip_axis(t, -1), rng.normal(size=(2, 3)))
 
     def test_layer_norm(self, rng):
         x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
