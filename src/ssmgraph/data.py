@@ -131,11 +131,14 @@ def _ar1(eps: np.ndarray, phi: float) -> np.ndarray:
     the last axis, in place: x_0 = eps_0, x_t = phi * x_(t-1) + sqrt(1 - phi^2) * eps_t.
 
     The recurrence takes one Python step per timestep whatever the leading
-    shape, so callers filter every stream of one phi in one call.
+    shape, so callers filter every stream of one phi in one call; it runs
+    over a time-major copy, where each step is one contiguous block.
     """
     scale = np.sqrt(1.0 - phi * phi)
-    for t in range(1, eps.shape[-1]):
-        eps[..., t] = phi * eps[..., t - 1] + scale * eps[..., t]
+    steps = np.moveaxis(eps, -1, 0).copy()
+    for t in range(1, steps.shape[0]):
+        steps[t] = phi * steps[t - 1] + scale * steps[t]
+    eps[...] = np.moveaxis(steps, 0, -1)
     return eps
 
 

@@ -22,6 +22,18 @@ def _next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
+def _kernel_spectrum(g_spec: np.ndarray, x_spec: np.ndarray, shape) -> np.ndarray:
+    """``_unbroadcast(conj(x_spec) * g_spec, shape)`` formed one leading row at
+    a time, never holding conj(x_spec) or the full product. The operand order
+    is the one numpy uses for ``g_spec * np.conj(x_spec)`` on large arrays."""
+    x_spec = np.broadcast_to(x_spec, g_spec.shape)
+    total = None
+    for idx in np.ndindex(g_spec.shape[:g_spec.ndim - len(shape)]):
+        term = np.conj(x_spec[idx]) * g_spec[idx]
+        total = term if total is None else np.add(total, term, out=total)
+    return _unbroadcast(total, shape)
+
+
 def conv1d_fft(signal, kernel, kernel_rev=None) -> Tensor:
     """y[t] = sum_{s<=t} kernel[s] x[t-s] + sum_{s<L-t} kernel_rev[s] x[t+s].
 
@@ -44,23 +56,24 @@ def conv1d_fft(signal, kernel, kernel_rev=None) -> Tensor:
     if r is not None:
         spec += np.conj(sfft.rfft(r.data, n=n, axis=-2, workers=FFT_WORKERS))
 
-    def inverse(prod, dtype=None):
+    def inverse(prod, dtype=None, overwrite=False):
         return np.ascontiguousarray(
-            sfft.irfft(prod, n=n, axis=-2, workers=FFT_WORKERS)[..., :length, :], dtype=dtype)
+            sfft.irfft(prod, n=n, axis=-2, overwrite_x=overwrite,
+                       workers=FFT_WORKERS)[..., :length, :], dtype=dtype)
 
     out_data = inverse(x_spec * spec, x.dtype)
 
     def bwd(g):
         g_spec = sfft.rfft(g, n=n, axis=-2, workers=FFT_WORKERS)
-        if x.requires_grad:
-            x._accum(_unbroadcast(inverse(g_spec * np.conj(spec)), x.shape), owned=True)
         if any(w.requires_grad for w in kernels):
-            # reduce broadcast batch axes in the frequency domain: one
-            # inverse transform instead of one per batch row
-            prod = _unbroadcast(g_spec * np.conj(x_spec), spec.shape)
-            if k.requires_grad:
-                k._accum(inverse(prod), owned=True)
-            if r is not None and r.requires_grad:
-                r._accum(inverse(np.conj(prod)), owned=True)
+            prod = _kernel_spectrum(g_spec, x_spec, spec.shape)
+            rev = r is not None and r.requires_grad
+            if k.requires_grad:  # prod must survive for k_rev's conjugate
+                k._accum(inverse(prod, overwrite=not rev), owned=True)
+            if rev:
+                r._accum(inverse(np.conj(prod, out=prod), overwrite=True), owned=True)
+        if x.requires_grad:
+            g_spec *= np.conj(spec)
+            x._accum(_unbroadcast(inverse(g_spec, overwrite=True), x.shape), owned=True)
 
     return _record(out_data, (x,) + kernels, bwd)

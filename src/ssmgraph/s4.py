@@ -24,6 +24,9 @@ are (L, d), so no layer transposes. A bidirectional layer's second core runs
 over the reversed sequence: an anti-causal kernel that enters the same FFT
 convolution as a conjugate spectrum, its skip term the sum of both cores'
 D. Complex numbers appear only inside numpy; every tensor here is real.
+
+The block's GLU projection, gate and dropout are one op, ``tensor.glu_gate``,
+so dropout acts on the gated output, before the residual add.
 """
 
 from __future__ import annotations
@@ -205,6 +208,9 @@ def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
 class S4Layer:
     """Pre-norm S4 block: LN -> SSM conv (+skip) -> GLU gate -> dropout -> residual.
 
+    ``tensor.glu_gate`` applies ``w_glu``/``b_glu``, the gate and, when
+    ``train`` is set, dropout, before the residual add.
+
     Bidirectional mode adds the reverse kernel of a second core, run over the
     time-reversed sequence, so the skip term is ``core.d_skip + core_rev.d_skip``;
     both directions share the GLU output projection. A timestep ``mask`` zeroes
@@ -251,7 +257,4 @@ class S4Layer:
         kernel = materialize_kernel(self.core, length)
         k_rev = None if self.core_rev is None else materialize_kernel(self.core_rev, length)
         y = conv1d_fft(z, kernel, k_rev)
-        proj = y @ self.w_glu + self.b_glu
-        gate = T.glu_gate(proj)
-        gate = T.dropout(gate, self.dropout, rng, train)
-        return x + gate
+        return x + T.glu_gate(y, self.w_glu, self.b_glu, self.dropout, rng, train)

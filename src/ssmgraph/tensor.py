@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit as _expit
 
 # When enabled, every forward op asserts its output is finite. Tests switch
 # this on; training leaves it off and checks losses/steps instead.
@@ -486,43 +485,91 @@ def layer_norm_lastdim(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm gamma/beta must match the last axis")
     mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = a.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def bwd(g):
+        scratch = g * xhat
         if gamma.requires_grad:
-            gamma._accum((g * xhat).reshape(-1, d).sum(axis=0))
+            gamma._accum(scratch.reshape(-1, d).sum(axis=0))
         if beta.requires_grad:
             beta._accum(g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
             gx = g * gamma.data
-            term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            a._accum(term * inv, owned=True)
+            mean_gx_xhat = np.multiply(gx, xhat, out=scratch).mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
+            gx *= inv
+            a._accum(gx, owned=True)
 
     return _record(out_data, (a, gamma, beta), bwd)
 
 
-def glu_gate(a) -> Tensor:
-    """Gated linear unit: split the last axis in half, first * sigmoid(second)."""
-    a = as_tensor(a)
-    d2 = a.shape[-1]
-    if d2 % 2 != 0:
-        raise ShapeError(f"glu_gate needs an even last axis, got {d2}")
-    d = d2 // 2
-    left = a.data[..., :d]
-    gate = _expit(a.data[..., d:])
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) into ``out``, which may be ``z``; where exp(-z)
+    overflows to inf the result is exactly 0."""
+    with np.errstate(over="ignore"):
+        out = np.negative(z, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
+
+
+def _keep_mask(shape, p: float, rng: np.random.Generator | None, dtype) -> np.ndarray:
+    """Boolean mask of the units inverted dropout keeps, drawn in ``dtype``."""
+    if rng is None:
+        raise ContractError("dropout in training mode requires an RNG")
+    return rng.random(shape, dtype=dtype) >= p
+
+
+def glu_gate(y, w, b, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
+    """Projection, gated linear unit and inverted dropout as one op: with
+    (left, gate) the halves of h = y @ w + b, the output is
+    left * sigmoid(gate), its units dropped at rate p when training. The
+    backward rule takes all three gradients from one buffer shaped like h.
+    """
+    y, w, b = as_tensor(y), as_tensor(w), as_tensor(b)
+    if (w.ndim != 2 or w.shape[1] % 2 or y.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(f"glu_gate needs (..., k) @ (k, 2d) + (2d,), got "
+                         f"{y.shape} @ {w.shape} + {b.shape}")
+    d = w.shape[1] // 2
+    rows = y.data.reshape(-1, w.shape[0])
+    h = rows @ w.data
+    h += b.data
+    left, gate = h[:, :d], h[:, d:]
+    _sigmoid(gate, out=gate)
     out_data = left * gate
+    keep = None
+    if train and p > 0.0:
+        keep = _keep_mask(out_data.shape, p, rng, out_data.dtype)
+        scale = 1.0 / (1.0 - p)
+        out_data *= scale
+        out_data *= keep
 
     def bwd(g):
-        full = np.empty_like(a.data)
-        full[..., :d] = g * gate
-        full[..., d:] = g * left * gate * (1.0 - gate)
-        a._accum(full, owned=True)
+        gh = np.empty_like(h)
+        g_left, g_gate = gh[:, :d], gh[:, d:]
+        g = g.reshape(-1, d)
+        if keep is not None:
+            g = np.multiply(g, keep, out=g_gate)  # scratch until g_left is formed
+            g *= scale
+        np.multiply(g, gate, out=g_left)
+        np.subtract(1.0, gate, out=g_gate)
+        g_gate *= g_left
+        g_gate *= left
+        if y.requires_grad:
+            y._accum((gh @ w.data.T).reshape(y.shape), owned=True)
+        if w.requires_grad:
+            w._accum(rows.T @ gh, owned=True)
+        if b.requires_grad:
+            b._accum(gh.sum(axis=0), owned=True)
 
-    return _record(out_data, (a,), bwd)
+    return _record(out_data.reshape(y.shape[:-1] + (d,)), (y, w, b), bwd)
 
 
 def prune_below(a, threshold: float) -> Tensor:
@@ -542,9 +589,7 @@ def dropout(a, p: float, rng: np.random.Generator | None, train: bool) -> Tensor
     a = as_tensor(a)
     if not train or p <= 0.0:
         return a
-    if rng is None:
-        raise ContractError("dropout in training mode requires an RNG")
-    mask = (rng.random(a.shape) >= p).astype(a.dtype) / (1.0 - p)
+    mask = np.divide(_keep_mask(a.shape, p, rng, a.dtype), 1.0 - p, dtype=a.dtype)
     return mul(a, Tensor(mask))
 
 
@@ -561,7 +606,7 @@ def bce_with_logits(logits, targets) -> Tensor:
     out_data = np.asarray(per.mean())
 
     def bwd(g):
-        logits._accum(g * (_expit(z) - t) / n, owned=True)
+        logits._accum(g * (_sigmoid(z) - t) / n, owned=True)
 
     return _record(out_data, (logits,), bwd)
 

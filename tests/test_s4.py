@@ -230,6 +230,16 @@ class TestS4Layer:
                   for bidir in (False, True)]
         assert counts[1] == counts[0] + 1, counts
 
+    def test_training_tape_footprint(self, rng):
+        # LayerNorm, kernel, convolution, glu_gate and the residual add: four
+        # outputs the size of the input, plus the kernel
+        layer = S4Layer(4, 3, rng, dropout=0.3)
+        x = Tensor(rng.normal(size=(2, 10, 4)))
+        ops = Tape.trace(layer.forward(x, train=True, rng=np.random.default_rng(0))).ops
+        kernel_bytes = 10 * 4 * x.data.itemsize
+        assert len(ops) == 5
+        assert sum(op.out.data.nbytes for op in ops) <= 4 * x.data.nbytes + kernel_bytes
+
     def test_width_mismatch(self, rng):
         layer = S4Layer(4, 3, rng)
         with pytest.raises(Exception):

@@ -3,12 +3,13 @@ oracle, and softmax properties."""
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from conftest import conv_direct
 from ssmgraph import tensor as T
-from ssmgraph.fftconv import conv1d_fft
+from ssmgraph.fftconv import FFT_WORKERS, _next_pow2, conv1d_fft
 from ssmgraph.gradcheck import backward_and_gradcheck
-from ssmgraph.tensor import ContractError, NumericError, ShapeError, Tensor
+from ssmgraph.tensor import ContractError, NumericError, ShapeError, Tape, Tensor, _unbroadcast
 
 
 def col(values) -> Tensor:
@@ -127,6 +128,37 @@ class TestTwoSidedConv:
         with pytest.raises(ShapeError):
             conv1d_fft(Tensor(np.ones((5, 2))), Tensor(np.ones((5, 2))),
                        Tensor(np.ones((4, 2))))
+
+
+class TestKernelGradientSpectrum:
+    """The kernel gradients are the inverse transforms of the summed full
+    product, although conv1d_fft forms it one batch row at a time."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (38, 100, 16)])
+    def test_equal_to_full_product(self, rng, dtype, shape):
+        length = shape[-2]
+        x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        k = Tensor(rng.normal(size=shape[1:]).astype(dtype), requires_grad=True)
+        k_rev = Tensor(rng.normal(size=shape[1:]).astype(dtype), requires_grad=True)
+        g = rng.normal(size=shape).astype(dtype)
+        conv1d_fft(x, k, k_rev).backward(g)
+
+        n = _next_pow2(2 * length - 1)
+
+        def spectrum(a):
+            return sfft.rfft(a, n=n, axis=-2, workers=FFT_WORKERS)
+
+        def inverse(a):
+            return np.ascontiguousarray(
+                sfft.irfft(a, n=n, axis=-2, workers=FFT_WORKERS)[..., :length, :])
+
+        # numpy evaluates g_spec * np.conj(x_spec) in this operand order once
+        # the temporary passes 256 KiB, and complex products are not
+        # bitwise commutative
+        prod = _unbroadcast(np.conj(spectrum(x.data)) * spectrum(g), spectrum(k.data).shape)
+        assert np.array_equal(k.grad, inverse(prod))
+        assert np.array_equal(k_rev.grad, inverse(np.conj(prod)))
 
 
 class TestFFTRoundTrip:
@@ -288,6 +320,32 @@ class TestOpGradients:
         worst, _ = backward_and_gradcheck(loss, {"x": x})
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 5, 2), (3, 7), (38, 100, 128)])
+    def test_layer_norm_bits(self, rng, dtype, shape):
+        x = rng.normal(size=shape).astype(dtype)
+        gamma = (rng.normal(size=shape[-1]) + 1.0).astype(dtype)
+        beta = rng.normal(size=shape[-1]).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        # the unfused expressions, evaluated one temporary at a time
+        d = shape[-1]
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        gx = g * gamma
+        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        expected = {"out": xhat * gamma + beta, "x": term * inv,
+                    "gamma": (g * xhat).reshape(-1, d).sum(axis=0),
+                    "beta": g.reshape(-1, d).sum(axis=0)}
+
+        leaves = {name: Tensor(v, requires_grad=True)
+                  for name, v in (("x", x), ("gamma", gamma), ("beta", beta))}
+        out = T.layer_norm_lastdim(leaves["x"], leaves["gamma"], leaves["beta"])
+        out.backward(g)
+        got = {"out": out.data, **{name: t.grad for name, t in leaves.items()}}
+        for name, value in expected.items():
+            assert got[name].dtype == dtype and np.array_equal(got[name], value), name
+
     def test_layer_norm(self, rng):
         x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
         gamma = Tensor(rng.normal(size=6) + 1.0, requires_grad=True)
@@ -333,6 +391,65 @@ class TestOpGradients:
     def test_bce_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.bce_with_logits(Tensor([[0.0]]), np.zeros(2))
+
+
+class TestGluGate:
+    """Projection, GLU and dropout as one tape op."""
+
+    @staticmethod
+    def operands(rng, lead, d_in=3, d=5, dtype=np.float64):
+        y = Tensor(rng.normal(size=lead + (d_in,)), requires_grad=True, dtype=dtype)
+        w = Tensor(rng.normal(size=(d_in, 2 * d)), requires_grad=True, dtype=dtype)
+        b = Tensor(rng.normal(size=2 * d), requires_grad=True, dtype=dtype)
+        return y, w, b
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)])
+    def test_gradcheck(self, rng, lead, p):
+        y, w, b = self.operands(rng, lead)
+        weight = Tensor(rng.normal(size=lead + (5,)))
+
+        def loss():
+            # a fresh generator each evaluation: every evaluation drops the same units
+            out = T.glu_gate(y, w, b, p, np.random.default_rng(3), train=True)
+            return (out * weight).sum()
+
+        worst, per = backward_and_gradcheck(loss, {"y": y, "w": w, "b": b})
+        assert worst <= 1e-6, per
+
+    def test_one_tape_op(self, rng):
+        y, w, b = self.operands(rng, (2, 4))
+        assert len(Tape.trace(T.glu_gate(y, w, b, 0.5, rng, train=True)).ops) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_sigmoid_is_exact(self, dtype):
+        # exp(1e4) overflows in both dtypes; the gate is still exactly 1 or 0
+        y = Tensor(np.eye(2), dtype=dtype)
+        w = Tensor([[1.0, 1e4], [1.0, -1e4]], requires_grad=True, dtype=dtype)
+        out = T.glu_gate(y, w, Tensor(np.zeros(2), dtype=dtype), 0.0, None, train=False)
+        assert out.dtype == dtype and np.array_equal(out.data, [[1.0], [0.0]])
+        out.sum().backward()
+        logits = Tensor([1e4, -1e4], requires_grad=True, dtype=dtype)
+        T.bce_with_logits(logits, [1.0, 0.0]).backward()
+        assert np.array_equal(logits.grad, [0.0, 0.0])
+
+    def test_odd_projection_width(self, rng):
+        y, w, b = self.operands(rng, (4,))
+        with pytest.raises(ShapeError):
+            T.glu_gate(y, Tensor(w.data[:, :9]), Tensor(b.data[:9]), 0.0, None, train=False)
+
+    @pytest.mark.parametrize("op", ["glu_gate", "dropout"])
+    def test_float64_mask_is_uniform_draw(self, rng, op):
+        y, w, b = self.operands(rng, (6, 4))
+        p = 0.3
+        if op == "glu_gate":
+            full = T.glu_gate(y, w, b, p, None, train=False).data
+            dropped = T.glu_gate(y, w, b, p, np.random.default_rng(5), train=True).data
+        else:
+            full = y.data
+            dropped = T.dropout(y, p, np.random.default_rng(5), train=True).data
+        mask = (np.random.default_rng(5).random(full.shape) >= p).astype(np.float64) / (1.0 - p)
+        assert np.array_equal(dropped, full * mask)
 
 
 class TestTensorInvariants:
