@@ -2,5 +2,3 @@
 learned dynamic graph structures, and GIN message passing."""
 
 __version__ = "0.1.0"
-
-from .tensor import Tensor, Tape  # noqa: F401

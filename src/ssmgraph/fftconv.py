@@ -56,10 +56,9 @@ def conv1d_fft(signal, kernel, kernel_rev=None) -> Tensor:
     if r is not None:
         spec += np.conj(sfft.rfft(r.data, n=n, axis=-2, workers=FFT_WORKERS))
 
-    def inverse(prod, dtype=None, overwrite=False):
+    def inverse(prod, dtype=None):
         return np.ascontiguousarray(
-            sfft.irfft(prod, n=n, axis=-2, overwrite_x=overwrite,
-                       workers=FFT_WORKERS)[..., :length, :], dtype=dtype)
+            sfft.irfft(prod, n=n, axis=-2, workers=FFT_WORKERS)[..., :length, :], dtype=dtype)
 
     out_data = inverse(x_spec * spec, x.dtype)
 
@@ -67,13 +66,12 @@ def conv1d_fft(signal, kernel, kernel_rev=None) -> Tensor:
         g_spec = sfft.rfft(g, n=n, axis=-2, workers=FFT_WORKERS)
         if any(w.requires_grad for w in kernels):
             prod = _kernel_spectrum(g_spec, x_spec, spec.shape)
-            rev = r is not None and r.requires_grad
-            if k.requires_grad:  # prod must survive for k_rev's conjugate
-                k._accum(inverse(prod, overwrite=not rev), owned=True)
-            if rev:
-                r._accum(inverse(np.conj(prod, out=prod), overwrite=True), owned=True)
+            if k.requires_grad:
+                k._accum(inverse(prod), owned=True)
+            if r is not None and r.requires_grad:
+                r._accum(inverse(np.conj(prod, out=prod)), owned=True)
         if x.requires_grad:
             g_spec *= np.conj(spec)
-            x._accum(_unbroadcast(inverse(g_spec, overwrite=True), x.shape), owned=True)
+            x._accum(_unbroadcast(inverse(g_spec), x.shape), owned=True)
 
     return _record(out_data, (x,) + kernels, bwd)

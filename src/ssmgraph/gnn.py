@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ContractError, ShapeError, Tensor
+from .tensor import ContractError, Module, ShapeError, Tensor
 
 GRAPH_POOLS = ("mean", "max", "sum")
 TEMPORAL_POOLS = ("mean", "max")
@@ -26,7 +26,7 @@ class PoolSpec:
             raise ContractError(f"temporal_pool must be one of {TEMPORAL_POOLS}")
 
 
-class GinLayer:
+class GinLayer(Module):
     """h'_i = MLP((1 + eps) * h_i + sum_j W_ij h_j), with a D->D->D ReLU MLP.
 
     Edge weights multiply neighbor features directly (no degree
@@ -43,10 +43,6 @@ class GinLayer:
         self.w2 = Tensor(rng.normal(0.0, sd, (d_model, d_model)), requires_grad=True, dtype=dtype)
         self.b2 = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
         self.eps_gin = Tensor(np.zeros(()), requires_grad=True, dtype=dtype)
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        names = ["w1", "b1", "w2", "b2", "eps_gin"]
-        return [(prefix + n, getattr(self, n)) for n in names]
 
     def forward(self, h: Tensor, w: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -81,7 +77,7 @@ def temporal_graph_readout(z: Tensor, spec: PoolSpec) -> Tensor:
     return _pool(pooled_t, spec.graph_pool, axis=-2)
 
 
-class ClassifierHead:
+class ClassifierHead(Module):
     """Affine map D -> C; losses own the link function, so no activation."""
 
     def __init__(self, d_model: int, n_classes: int, rng: np.random.Generator, dtype=np.float64):
@@ -90,9 +86,6 @@ class ClassifierHead:
         sd = d_model ** -0.5
         self.w = Tensor(rng.normal(0.0, sd, (d_model, n_classes)), requires_grad=True, dtype=dtype)
         self.b = Tensor(np.zeros(n_classes), requires_grad=True, dtype=dtype)
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        return [(prefix + "w", self.w), (prefix + "b", self.b)]
 
     def forward(self, pooled: Tensor) -> Tensor:
         return pooled @ self.w + self.b

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ContractError, ShapeError, Tensor
+from .tensor import ContractError, Module, ShapeError, Tensor
 
 DEG_EPS = 1e-8  # substitute degree for isolated nodes (guards 1/sqrt and log)
 
@@ -201,7 +201,7 @@ def reg_loss_total(w: Tensor, pooled: Tensor, weights: RegWeights) -> Tensor:
     return per_graph.mean()
 
 
-class GslLayer:
+class GslLayer(Module):
     """Attention-based graph learner over pooled interval embeddings."""
 
     def __init__(self, d_model: int, cfg: GslConfig, rng: np.random.Generator, dtype=np.float64):
@@ -211,9 +211,6 @@ class GslLayer:
         sd = d_model ** -0.5
         self.mq = Tensor(rng.normal(0.0, sd, (d_model, d_model)), requires_grad=True, dtype=dtype)
         self.mk = Tensor(rng.normal(0.0, sd, (d_model, d_model)), requires_grad=True, dtype=dtype)
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        return [(prefix + "mq", self.mq), (prefix + "mk", self.mk)]
 
     def build_graphs(self, pooled: Tensor) -> Tensor:
         """Pooled embeddings (..., n_d, N, D) -> final adjacencies (..., n_d, N, N)."""

@@ -2,8 +2,9 @@
 graph structure learning -> GIN -> temporal/graph readout -> linear head.
 
 Also owns the total loss, the graph learner's parameter/MAC cost model, and
-the binary checkpoint format (magic "GS4M").
-"""
+the binary checkpoint format (magic "GS4M"). Tensors are written in
+``named_parameters()`` order, the layers' attribute assignment order, so
+reordering ``__init__`` assignments changes the bytes; loading is by name."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .graphlearn import (GslConfig, GslLayer, RegWeights, interval_mean_pool,
                          num_intervals, reg_loss_total)
 from .rnn import GruLayer
 from .s4 import DT_MAX_DEFAULT, DT_MIN_DEFAULT, S4Layer
-from .tensor import ContractError, ShapeError, Tensor
+from .tensor import ContractError, Module, ShapeError, Tensor
 
 TASKS = ("binary", "multiclass", "multilabel")
 ENCODERS = ("s4", "gru")
@@ -101,7 +102,7 @@ class ModelOutput:
     reg_loss: Tensor            # scalar, already averaged over graphs and batch
 
 
-class SequenceEncoder:
+class SequenceEncoder(Module):
     """Shared-weight per-channel encoder: (B, N, T, M) -> (B, N, T, D).
 
     Every sensor sequence runs through the same input projection and layer
@@ -120,16 +121,6 @@ class SequenceEncoder:
         self.w_in = Tensor(rng.normal(0.0, sd, (input_dim, d_model)), requires_grad=True, dtype=dtype)
         self.b_in = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
         self.layers = [make_layer(rng) for _ in range(depth)]
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        out = [(prefix + "w_in", self.w_in), (prefix + "b_in", self.b_in)]
-        for i, layer in enumerate(self.layers):
-            out += layer.named_parameters(f"{prefix}layers.{i}.")
-        return out
-
-    def assert_stable(self) -> None:
-        for layer in self.layers:
-            layer.assert_stable()
 
     def encode(self, x: Tensor, mask: np.ndarray | None = None, train: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -155,7 +146,7 @@ class SequenceEncoder:
         return h.reshape((batch, n_sensors, length, self.d_model))
 
 
-class SsmGraphModel:
+class SsmGraphModel(Module):
     """Sequence-then-graph classifier over multivariate sensor signals."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -173,22 +164,6 @@ class SsmGraphModel:
         self.gsl = GslLayer(cfg.d_model, cfg.gsl, rng, dtype) if cfg.use_gsl else None
         self.gin = GinLayer(cfg.d_model, rng, cfg.dropout, dtype) if cfg.use_gnn else None
         self.head = ClassifierHead(cfg.d_model, cfg.n_classes, rng, dtype)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = self.encoder.named_parameters("encoder.")
-        if self.gsl is not None:
-            out += self.gsl.named_parameters("gsl.")
-        if self.gin is not None:
-            out += self.gin.named_parameters("gin.")
-        out += self.head.named_parameters("head.")
-        return out
-
-    def assert_stable(self) -> None:
-        self.encoder.assert_stable()
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
 
     def forward(self, x, mask: np.ndarray | None = None, train: bool = False,
                 rng: np.random.Generator | None = None) -> ModelOutput:
@@ -245,7 +220,7 @@ class SsmGraphModel:
         if self.cfg.task == "multiclass":
             e = np.exp(logits - logits.max(axis=-1, keepdims=True))
             return e / e.sum(axis=-1, keepdims=True)
-        return 1.0 / (1.0 + np.exp(-logits))
+        return T._sigmoid(logits)
 
 
 def build_model(cfg: ModelConfig, seed: int) -> SsmGraphModel:
@@ -274,8 +249,9 @@ def gsl_mac_estimate(n_sensors: int, d_model: int, t_len: int, r) -> int:
 
 
 def save_checkpoint(model: SsmGraphModel, path, extra: dict | None = None) -> bytes:
-    """Write magic, version, embedded config JSON, then the named tensors,
-    each tagged with and stored in the model's dtype."""
+    """Write magic, version, embedded config JSON, then the named tensors in
+    ``named_parameters()`` (attribute assignment) order, each tagged with and
+    stored in the model's dtype."""
     payload = {"config": asdict(model.cfg)}
     if extra:
         payload["extra"] = extra

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor, _record
+from .tensor import Module, ShapeError, Tensor, _record
 
 
 def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor) -> Tensor:
@@ -40,8 +40,8 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tens
     for t in range(t_len):
         gh = h_prev @ w_hh.data + b_hh.data
         gi = xw[:, t]
-        r = 1.0 / (1.0 + np.exp(-(gi[:, :d] + gh[:, :d])))
-        z = 1.0 / (1.0 + np.exp(-(gi[:, d:2 * d] + gh[:, d:2 * d])))
+        r = T._sigmoid(gi[:, :d] + gh[:, :d])
+        z = T._sigmoid(gi[:, d:2 * d] + gh[:, d:2 * d])
         n = np.tanh(gi[:, 2 * d:] + r * gh[:, 2 * d:])
         h_prev = (1.0 - z) * n + z * h_prev
         hs[t], rs[t], zs[t], ns[t], ghn[t] = h_prev, r, z, n, gh[:, 2 * d:]
@@ -93,7 +93,7 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tens
     return _record(out_data, (x, w_ih, w_hh, b_ih, b_hh), bwd)
 
 
-class GruLayer:
+class GruLayer(Module):
     """GRU over (B, T, In) followed by dropout on its hidden states."""
 
     def __init__(self, d_in: int, d_model: int, rng: np.random.Generator,
@@ -104,13 +104,6 @@ class GruLayer:
         self.w_hh = Tensor(rng.normal(0.0, sd, (d_model, 3 * d_model)), requires_grad=True, dtype=dtype)
         self.b_ih = Tensor(np.zeros(3 * d_model), requires_grad=True, dtype=dtype)
         self.b_hh = Tensor(np.zeros(3 * d_model), requires_grad=True, dtype=dtype)
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        names = ["w_ih", "w_hh", "b_ih", "b_hh"]
-        return [(prefix + n, getattr(self, n)) for n in names]
-
-    def assert_stable(self) -> None:
-        pass  # gated recurrences have no pole constraint to enforce
 
     def forward(self, x: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None, mask: Tensor | None = None) -> Tensor:

@@ -35,14 +35,14 @@ import numpy as np
 
 from . import tensor as T
 from .fftconv import conv1d_fft
-from .tensor import ContractError, ShapeError, Tensor, _record
+from .tensor import ContractError, Module, ShapeError, Tensor, _record
 
 
 DT_MIN_DEFAULT = 1e-3
 DT_MAX_DEFAULT = 1e-1
 
 
-class SsmCore:
+class SsmCore(Module):
     """Bank of ``d`` diagonal state-space systems with ``p`` states each."""
 
     def __init__(self, d: int, p: int, rng: np.random.Generator,
@@ -61,10 +61,6 @@ class SsmCore:
         self.log_dt = Tensor(rng.uniform(np.log(dt_min), np.log(dt_max), (d,)),
                              requires_grad=True, dtype=dtype)
         self.d_skip = Tensor(rng.normal(0.0, 1.0, (d,)), requires_grad=True, dtype=dtype)
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        names = ["log_neg_re", "lam_im", "b_re", "b_im", "c_re", "c_im", "log_dt", "d_skip"]
-        return [(prefix + n, getattr(self, n)) for n in names]
 
     def assert_stable(self) -> None:
         """Discrete-time stability |a_bar| < 1 must hold for every state."""
@@ -205,7 +201,7 @@ def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
     return y
 
 
-class S4Layer:
+class S4Layer(Module):
     """Pre-norm S4 block: LN -> SSM conv (+skip) -> GLU gate -> dropout -> residual.
 
     ``tensor.glu_gate`` applies ``w_glu``/``b_glu``, the gate and, when
@@ -232,19 +228,6 @@ class S4Layer:
         self.b_glu = Tensor(np.zeros(2 * d_model), requires_grad=True, dtype=dtype)
         self.ln_gamma = Tensor(np.ones(d_model), requires_grad=True, dtype=dtype)
         self.ln_beta = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        out = self.core.named_parameters(prefix + "core.")
-        if self.core_rev is not None:
-            out += self.core_rev.named_parameters(prefix + "core_rev.")
-        out += [(prefix + "w_glu", self.w_glu), (prefix + "b_glu", self.b_glu),
-                (prefix + "ln_gamma", self.ln_gamma), (prefix + "ln_beta", self.ln_beta)]
-        return out
-
-    def assert_stable(self) -> None:
-        self.core.assert_stable()
-        if self.core_rev is not None:
-            self.core_rev.assert_stable()
 
     def forward(self, x: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None, mask: Tensor | None = None) -> Tensor:

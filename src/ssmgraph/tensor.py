@@ -149,6 +149,39 @@ class Tensor:
         return swap_last2(self)
 
 
+class Module:
+    """Base of every layer with parameters: the attributes holding a
+    gradient-requiring ``Tensor``, named in assignment order (the checkpoint's
+    order). A ``Module`` attribute nests under ``attr.``, and list items take
+    the name ``attr.i``; every other attribute is skipped."""
+
+    def _members(self):
+        for attr, value in vars(self).items():
+            if isinstance(value, list):
+                yield from ((f"{attr}.{i}", item) for i, item in enumerate(value))
+            else:
+                yield attr, value
+
+    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+        out = []
+        for name, value in self._members():
+            if isinstance(value, Module):
+                out += value.named_parameters(f"{prefix}{name}.")
+            elif isinstance(value, Tensor) and value.requires_grad:
+                out.append((prefix + name, value))
+        return out
+
+    def assert_stable(self) -> None:
+        """Raise ``NumericError`` if a submodule left its stable region."""
+        for _, value in self._members():
+            if isinstance(value, Module):
+                value.assert_stable()
+
+    def zero_grad(self) -> None:
+        for _, p in self.named_parameters():
+            p.zero_grad()
+
+
 def as_tensor(value, dtype=None) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
 

@@ -13,6 +13,7 @@ from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.graphlearn import GslConfig, RegWeights, reg_loss_total, interval_mean_pool
 from ssmgraph.model import (ModelConfig, build_model, gsl_mac_estimate, gsl_param_count,
                             load_checkpoint, save_checkpoint, CheckpointError)
+from ssmgraph.rnn import gru_sequence
 from ssmgraph.tensor import ContractError, Tensor
 
 
@@ -293,6 +294,76 @@ class TestCheckpoint:
         (tmp_path / "junk.gs4m").write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(tmp_path / "junk.gs4m")
+
+
+class TestParameterNames:
+    """The checkpoint stores tensors in ``named_parameters()`` order, which
+    is attribute assignment order; these lists pin that format."""
+
+    def test_bidirectional_s4(self):
+        model = build_model(desk_config(s4_depth=2, bidirectional=True), seed=0)
+        assert [name for name, _ in model.named_parameters()] == [
+            "encoder.w_in", "encoder.b_in",
+            "encoder.layers.0.core.log_neg_re", "encoder.layers.0.core.lam_im",
+            "encoder.layers.0.core.b_re", "encoder.layers.0.core.b_im",
+            "encoder.layers.0.core.c_re", "encoder.layers.0.core.c_im",
+            "encoder.layers.0.core.log_dt", "encoder.layers.0.core.d_skip",
+            "encoder.layers.0.core_rev.log_neg_re", "encoder.layers.0.core_rev.lam_im",
+            "encoder.layers.0.core_rev.b_re", "encoder.layers.0.core_rev.b_im",
+            "encoder.layers.0.core_rev.c_re", "encoder.layers.0.core_rev.c_im",
+            "encoder.layers.0.core_rev.log_dt", "encoder.layers.0.core_rev.d_skip",
+            "encoder.layers.0.w_glu", "encoder.layers.0.b_glu",
+            "encoder.layers.0.ln_gamma", "encoder.layers.0.ln_beta",
+            "encoder.layers.1.core.log_neg_re", "encoder.layers.1.core.lam_im",
+            "encoder.layers.1.core.b_re", "encoder.layers.1.core.b_im",
+            "encoder.layers.1.core.c_re", "encoder.layers.1.core.c_im",
+            "encoder.layers.1.core.log_dt", "encoder.layers.1.core.d_skip",
+            "encoder.layers.1.core_rev.log_neg_re", "encoder.layers.1.core_rev.lam_im",
+            "encoder.layers.1.core_rev.b_re", "encoder.layers.1.core_rev.b_im",
+            "encoder.layers.1.core_rev.c_re", "encoder.layers.1.core_rev.c_im",
+            "encoder.layers.1.core_rev.log_dt", "encoder.layers.1.core_rev.d_skip",
+            "encoder.layers.1.w_glu", "encoder.layers.1.b_glu",
+            "encoder.layers.1.ln_gamma", "encoder.layers.1.ln_beta",
+            "gsl.mq", "gsl.mk",
+            "gin.w1", "gin.b1", "gin.w2", "gin.b2", "gin.eps_gin",
+            "head.w", "head.b",
+        ]
+
+    def test_gru_without_gsl(self):
+        model = build_model(desk_config(encoder="gru", s4_depth=2, use_gsl=False), seed=0)
+        assert [name for name, _ in model.named_parameters()] == [
+            "encoder.w_in", "encoder.b_in",
+            "encoder.layers.0.w_ih", "encoder.layers.0.w_hh",
+            "encoder.layers.0.b_ih", "encoder.layers.0.b_hh",
+            "encoder.layers.1.w_ih", "encoder.layers.1.w_hh",
+            "encoder.layers.1.b_ih", "encoder.layers.1.b_hh",
+            "gin.w1", "gin.b1", "gin.w2", "gin.b2", "gin.eps_gin",
+            "head.w", "head.b",
+        ]
+
+
+class TestSaturatedSigmoids:
+    """exp(-z) overflows for z below about -88 in float32; the sigmoids must
+    saturate to exactly 0 and 1 without a warning, which tests turn into errors."""
+
+    def test_gru_gates(self):
+        f32 = np.float32
+        x = Tensor(np.full((1, 2, 1), -100.0, dtype=f32), requires_grad=True)
+        w_ih = Tensor(np.ones((1, 3), dtype=f32), requires_grad=True)
+        w_hh = Tensor(np.zeros((1, 3), dtype=f32), requires_grad=True)
+        b_ih = Tensor(np.zeros(3, dtype=f32), requires_grad=True)
+        b_hh = Tensor(np.zeros(3, dtype=f32), requires_grad=True)
+        h = gru_sequence(x, w_ih, w_hh, b_ih, b_hh)
+        # r = z = 0 exactly, so every h_t = tanh(-100) = -1
+        np.testing.assert_array_equal(h.data, np.full((1, 2, 1), -1.0, dtype=f32))
+        h.sum().backward()
+        assert np.all(np.isfinite(x.grad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_binary_scores(self, dtype):
+        model = build_model(desk_config(), seed=0)
+        scores = model.scores(np.array([[-1e4], [1e4]], dtype=dtype))
+        np.testing.assert_array_equal(scores, [[0.0], [1.0]])
 
 
 class TestConfigValidation:

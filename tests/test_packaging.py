@@ -1,7 +1,10 @@
-"""Declared dependencies cover every third-party import of the package."""
+"""Source guards: declared dependencies cover every third-party import,
+no import goes unused, one parameter walker, and no eager numpy import."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,3 +87,32 @@ def test_every_tensor_op_is_used_in_src():
 
     unused = [node.name for node in public if not referenced(node.name, node)]
     assert not unused, unused
+
+
+def test_one_parameter_walker():
+    # layers declare their tensors as attributes and tensor.Module walks them,
+    # so no layer keeps a hand-written list that a new parameter could miss.
+    # Tensor.zero_grad clears one tensor; AdamW.zero_grad clears the
+    # optimizer's own parameter list.
+    allowed = {
+        "named_parameters": {"tensor.Module"},
+        "zero_grad": {"tensor.Module", "tensor.Tensor", "optim.AdamW"},
+        "assert_stable": {"tensor.Module", "s4.SsmCore"},
+    }
+    defined = {name: set() for name in allowed}
+    for path in (ROOT / "src" / "ssmgraph").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in defined:
+                        defined[item.name].add(f"{path.stem}.{node.name}")
+    assert defined == allowed
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads sets the BLAS thread variables, which numpy reads when it loads
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, ssmgraph.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

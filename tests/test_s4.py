@@ -102,8 +102,7 @@ class TestKernel:
 
 def kernel_and_grads(core, length, g):
     """Kernel values and every parameter gradient for upstream gradient g."""
-    for _, param in core.named_parameters():
-        param.zero_grad()
+    core.zero_grad()
     k = materialize_kernel(core, length)
     k.backward(g)
     return [k.data] + [param.grad for _, param in core.named_parameters()]

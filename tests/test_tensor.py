@@ -1,5 +1,7 @@
 """Tensor engine: op-level gradient checks, FFT convolution vs the direct
-oracle, and softmax properties."""
+oracle, softmax properties, and the Module parameter walk."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -480,3 +482,50 @@ class TestTensorInvariants:
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 2.0)
         assert 0.3 < (out.data > 0).mean() < 0.7
+
+
+class _Leaf(T.Module):
+    def __init__(self, unstable: bool = False):
+        self.unstable = unstable
+        self.w = Tensor(np.ones(2), requires_grad=True)
+        self.buffer = Tensor(np.zeros(2))  # no gradient: not a parameter
+
+    def assert_stable(self) -> None:
+        if self.unstable:
+            raise NumericError("unstable leaf")
+
+
+class _Toy(T.Module):
+    def __init__(self, unstable: bool = False):
+        self.width = 2
+        self.a = Tensor(np.ones(1), requires_grad=True)
+        self.blocks = [_Leaf(), _Leaf(unstable)]
+        self.missing = None
+        self.b = Tensor(np.ones(1), requires_grad=True)
+
+    def forward(self, x):
+        return x
+
+
+class TestModule:
+    def test_names_only_gradient_tensors_in_assignment_order(self):
+        toy = _Toy()
+        original = toy.forward
+        toy.forward = functools.wraps(original)(lambda *args: original(*args))
+        names = ["a", "blocks.0.w", "blocks.1.w", "b"]
+        assert [name for name, _ in toy.named_parameters()] == names
+        assert [name for name, _ in toy.named_parameters("toy.")] == ["toy." + n for n in names]
+        assert [p for _, p in toy.named_parameters()] == [toy.a, toy.blocks[0].w,
+                                                         toy.blocks[1].w, toy.b]
+
+    def test_zero_grad_clears_every_parameter(self):
+        toy = _Toy()
+        for _, p in toy.named_parameters():
+            p.grad = np.ones_like(p.data)
+        toy.zero_grad()
+        assert all(p.grad is None for _, p in toy.named_parameters())
+
+    def test_assert_stable_reaches_list_members(self):
+        _Toy().assert_stable()
+        with pytest.raises(NumericError, match="unstable leaf"):
+            _Toy(unstable=True).assert_stable()
