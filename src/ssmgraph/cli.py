@@ -109,9 +109,8 @@ def cmd_train(args) -> int:
     from pathlib import Path
 
     from .config import load_run_config
-    from .model import build_model, load_checkpoint, save_checkpoint
-    from .train import (build_report, check_labels, collect_outputs, select_thresholds,
-                        train_loop)
+    from .model import build_model, save_checkpoint
+    from .train import build_report, check_labels, collect_outputs, train_loop
 
     merged, run = load_run_config(args.config, args.set, args.seed)
     out_dir = Path(args.out)
@@ -119,32 +118,30 @@ def cmd_train(args) -> int:
     _write_json(out_dir / "config.json", merged)
 
     train_ds, val_ds, test_ds = run.data.load(run.seed)
-    eval_ds = test_ds if test_ds is not None else val_ds
-    for dataset in (train_ds, val_ds, eval_ds):
-        check_labels(run.model, dataset)
+    for dataset in (train_ds, val_ds, test_ds):
+        if dataset is not None:
+            check_labels(run.model, dataset)
     model = build_model(run.model, run.seed)
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
     started = time.time()
     result = train_loop(model, train_ds, val_ds, run.optim, run.seed, log=log)
     elapsed = time.time() - started
 
-    val_outputs = collect_outputs(model, val_ds, run.optim.batch_size)
-    thresholds = select_thresholds(model, val_outputs)
-    extra = {"thresholds": thresholds, "best_epoch": result.best_epoch,
+    extra = {"thresholds": result.thresholds, "best_epoch": result.best_epoch,
              "val_metric": result.best_metric, "seed": run.seed}
-    ckpt_path = out_dir / "checkpoint.gs4m"
-    save_checkpoint(model, ckpt_path, extra=extra)
+    save_checkpoint(model, out_dir / "checkpoint.gs4m", extra=extra)
     (out_dir / "history.csv").write_text(result.history_csv())
 
-    # metrics come from the reloaded checkpoint so a later `eval` run
-    # reproduces them byte-for-byte
-    reloaded, _ = load_checkpoint(ckpt_path)
-    outputs = collect_outputs(reloaded, eval_ds, run.optim.batch_size)
-    report = build_report(reloaded, outputs, thresholds)
-    report["split"] = "test" if test_ds is not None else "val"
-    report["best_epoch"] = result.best_epoch
-    report["stopped_early"] = result.stopped_early
-    _write_json(out_dir / "metrics.json", report)
+    # version-3 checkpoints round-trip bit for bit, so the in-memory model and
+    # the best epoch's validation report are what `eval` of the checkpoint gives
+    if test_ds is None:
+        report, split = result.report, "val"
+    else:
+        outputs = collect_outputs(model, test_ds, run.optim.batch_size)
+        report, split = build_report(model, outputs, result.thresholds), "test"
+    _write_json(out_dir / "metrics.json", {**report, "split": split,
+                                           "best_epoch": result.best_epoch,
+                                           "stopped_early": result.stopped_early})
     if not args.quiet:
         print(f"finished in {elapsed:.1f}s; best epoch {result.best_epoch} "
               f"(val metric {result.best_metric:.4f})")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TASK_KINDS = {"binary": 0, "multiclass": 1, "multilabel": 2}
+TASKS = ("binary", "multiclass", "multilabel")
 _KIND_INDEX = 0     # label stored as a class index
 _KIND_BITMASK = 1   # label stored as a multilabel bitmask
 
@@ -57,8 +57,8 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        if self.task not in TASK_KINDS:
-            raise ValueError(f"task must be one of {sorted(TASK_KINDS)}")
+        if self.task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
 
     def __len__(self) -> int:
         return len(self.records)

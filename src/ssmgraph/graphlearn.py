@@ -149,7 +149,8 @@ def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: 
         raise ShapeError(f"shape mismatch: {w_bar.shape} vs {np.shape(w_knn)}")
     mixed = Tensor(np.asarray(w_knn, dtype=w_bar.dtype) * epsilon) + w_bar * (1.0 - epsilon)
     pruned = T.prune_below(mixed, kappa)
-    return (pruned + T.swap_last2(pruned)) * 0.5
+    nd = pruned.ndim
+    return (pruned + pruned.transpose((*range(nd - 2), nd - 1, nd - 2))) * 0.5
 
 
 def _guarded_degree(w: Tensor) -> Tensor:
@@ -171,7 +172,8 @@ def smoothness_loss(h: Tensor, w: Tensor) -> Tensor:
     inv_sqrt = T.power_scalar(_guarded_degree(w), -0.5)   # (..., N)
     y = h * inv_sqrt.reshape(inv_sqrt.shape + (1,))
     term_deg = (deg * (y * y).sum(axis=-1)).sum(axis=-1)
-    term_adj = (w * (y @ T.swap_last2(y))).sum(axis=(-1, -2))
+    nd = y.ndim
+    term_adj = (w * (y @ y.transpose((*range(nd - 2), nd - 1, nd - 2)))).sum(axis=(-1, -2))
     return (term_deg - term_adj) / float(n * n)
 
 

@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
+from .data import TASKS
 from .gnn import ClassifierHead, GinLayer, PoolSpec, temporal_graph_readout
 from .graphlearn import (GslConfig, GslLayer, RegWeights, interval_mean_pool,
                          num_intervals, reg_loss_total)
@@ -24,7 +25,6 @@ from .rnn import GruLayer
 from .s4 import DT_MAX_DEFAULT, DT_MIN_DEFAULT, S4Layer
 from .tensor import ContractError, Module, ShapeError, Tensor
 
-TASKS = ("binary", "multiclass", "multilabel")
 ENCODERS = ("s4", "gru")
 
 CHECKPOINT_MAGIC = b"GS4M"
@@ -88,11 +88,6 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-    def fixed_graph_matrix(self) -> np.ndarray:
-        if self.fixed_graph is None:
-            return np.eye(self.n_sensors, dtype=self.np_dtype)
-        return np.asarray(self.fixed_graph, dtype=self.np_dtype)
 
 
 @dataclass
@@ -183,18 +178,16 @@ class SsmGraphModel(Module):
             w = self.gsl.build_graphs(pooled)
             reg = reg_loss_total(w, pooled, self.cfg.reg)
         else:
-            fixed = self.fixed_graph_tensor(pooled.shape[:2])
-            w = fixed
-            reg = Tensor(np.zeros((), dtype=self.cfg.np_dtype))
+            dtype = self.cfg.np_dtype
+            g = (np.eye(self.cfg.n_sensors, dtype=dtype) if self.cfg.fixed_graph is None
+                 else np.asarray(self.cfg.fixed_graph, dtype=dtype))
+            w = Tensor(np.broadcast_to(g, pooled.shape[:2] + g.shape).copy())
+            reg = Tensor(np.zeros((), dtype=dtype))
 
         z = self.gin.forward(pooled, w, train=train, rng=rng) if self.gin is not None else pooled
         readout = temporal_graph_readout(z, self.cfg.pool)        # (B, D)
         logits = self.head.forward(readout)
         return ModelOutput(logits=logits, graphs=w.numpy(), reg_loss=reg)
-
-    def fixed_graph_tensor(self, lead_shape) -> Tensor:
-        g = self.cfg.fixed_graph_matrix()
-        return Tensor(np.broadcast_to(g, tuple(lead_shape) + g.shape).copy())
 
     def total_loss(self, out: ModelOutput, y) -> Tensor:
         """Prediction loss plus the (already per-graph-averaged) regularization."""

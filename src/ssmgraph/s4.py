@@ -219,7 +219,6 @@ class S4Layer(Module):
                  dt_min: float = DT_MIN_DEFAULT, dt_max: float = DT_MAX_DEFAULT):
         self.d_model = d_model
         self.dropout = dropout
-        self.bidirectional = bidirectional
         self.core = SsmCore(d_model, p_states, rng, dt_min, dt_max, dtype)
         self.core_rev = (SsmCore(d_model, p_states, rng, dt_min, dt_max, dtype)
                          if bidirectional else None)

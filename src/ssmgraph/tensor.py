@@ -145,9 +145,6 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def swap_last2(self):
-        return swap_last2(self)
-
 
 class Module:
     """Base of every layer with parameters: the attributes holding a
@@ -436,17 +433,6 @@ def transpose(a, axes) -> Tensor:
         a._accum(g.transpose(inverse), owned=True)
 
     return _record(a.data.transpose(axes), (a,), bwd)
-
-
-def swap_last2(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError("swap_last2 requires ndim >= 2")
-
-    def bwd(g):
-        a._accum(np.swapaxes(g, -1, -2), owned=True)
-
-    return _record(np.swapaxes(a.data, -1, -2), (a,), bwd)
 
 
 # -- reductions -----------------------------------------------------------

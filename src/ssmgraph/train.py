@@ -1,5 +1,8 @@
-"""Training loop with undersampling, early stopping, best-model selection,
-and post-hoc evaluation (metrics, thresholds, adjacency collection)."""
+"""Training loop with undersampling, early stopping and best-epoch selection,
+and the evaluation steps it shares with the CLI: outputs, thresholds, reports.
+
+Each epoch's validation report is the one source of the selection metric;
+the best epoch's thresholds and report are returned with its parameters."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from . import tensor as T
 from .config import OptimConfig
 from .data import Dataset, collate, undersample_majority
 from .metrics import (binary_report, multiclass_report, multilabel_report,
-                      auroc_auprc, threshold_select, threshold_select_multilabel)
+                      threshold_select, threshold_select_multilabel)
 from .model import ModelConfig, SsmGraphModel
 from .optim import AdamW, DivergenceError, cosine_warmup_lr
 
@@ -26,11 +29,17 @@ class EvalOutputs:
     total_loss: float           # batch-weighted mean of model.total_loss
 
 
+# model-selection metric per task, read from the validation report
+SELECTION_KEYS = {"binary": "auroc", "multiclass": "macro_f1", "multilabel": "macro_auroc"}
+
+
 @dataclass
 class TrainResult:
     history: list               # rows: (epoch, lr, train_loss, val_loss, val_metric)
-    best_epoch: int
-    best_metric: float
+    best_epoch: int             # the epoch whose parameters were restored
+    best_metric: float          # its validation_metric
+    thresholds: list            # select_thresholds on its validation outputs
+    report: dict                # build_report of its validation outputs
     stopped_early: bool
 
     def history_csv(self) -> str:
@@ -83,20 +92,12 @@ def check_labels(cfg: ModelConfig, dataset: Dataset) -> None:
                              f"{cfg.task} model with {n_classes} classes")
 
 
-def validation_metric(model: SsmGraphModel, outputs: EvalOutputs) -> float:
-    """Model-selection metric: AUROC (binary), macro-F1 (multiclass),
-    macro-AUROC (multilabel)."""
-    task = model.cfg.task
-    if task == "binary":
-        return auroc_auprc(outputs.scores, outputs.labels)[0]
-    if task == "multiclass":
-        return multiclass_report(outputs.scores, outputs.labels, model.cfg.n_classes)["macro_f1"]
-    aurocs = []
-    for c in range(model.cfg.n_classes):
-        col = outputs.labels[:, c]
-        if 0 < col.sum() < len(col):
-            aurocs.append(auroc_auprc(outputs.scores[:, c], col)[0])
-    return float(np.mean(aurocs)) if aurocs else 0.0
+def validation_metric(task: str, report: dict) -> float:
+    """Model-selection metric: the report's AUROC (binary), macro-F1
+    (multiclass) or macro-AUROC (multilabel; 0 when no class has both
+    labels)."""
+    value = report[SELECTION_KEYS[task]]
+    return 0.0 if value is None else value
 
 
 def validation_loss(model: SsmGraphModel, dataset: Dataset, batch_size: int) -> float:
@@ -138,8 +139,9 @@ def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,
     """Shuffled mini-batch epochs with optional majority-class undersampling.
 
     Early-stops when validation loss has not decreased for ``cfg.patience``
-    consecutive epochs. The best parameters (by task metric) are restored
-    into ``model`` before returning. Raises DivergenceError on NaN loss.
+    consecutive epochs. The best parameters (by ``validation_metric``) are
+    restored into ``model`` before returning, with that epoch's thresholds
+    and report. Raises DivergenceError on NaN loss.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train and validation datasets must be non-empty")
@@ -150,7 +152,6 @@ def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,
     history = []
     best_metric = -np.inf
     best_epoch = 0
-    best_state = None
     best_val_loss = np.inf
     stall = 0
     stopped_early = False
@@ -177,7 +178,9 @@ def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,
         train_loss = epoch_loss / seen
         val_outputs = collect_outputs(model, val_ds, cfg.batch_size)
         val_loss = val_outputs.total_loss
-        val_metric = validation_metric(model, val_outputs)
+        thresholds = select_thresholds(model, val_outputs)
+        report = build_report(model, val_outputs, thresholds)
+        val_metric = validation_metric(model.cfg.task, report)
         history.append((epoch, lr, train_loss, val_loss, val_metric))
         if log:
             log(f"epoch {epoch:3d} lr={lr:.3e} train={train_loss:.4f} "
@@ -185,6 +188,7 @@ def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,
         if val_metric > best_metric:
             best_metric = val_metric
             best_epoch = epoch
+            best_thresholds, best_report = thresholds, report
             best_state = [(name, p.data.copy()) for name, p in model.named_parameters()]
         if val_loss < best_val_loss - 1e-12:
             best_val_loss = val_loss
@@ -194,9 +198,10 @@ def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,
             if stall >= cfg.patience:
                 stopped_early = True
                 break
-    if best_state is not None:
-        params = dict(model.named_parameters())
-        for name, data in best_state:
-            params[name].data[...] = data
+    # the first epoch's finite metric always beats -inf, so best_state is set
+    params = dict(model.named_parameters())
+    for name, data in best_state:
+        params[name].data[...] = data
     return TrainResult(history=history, best_epoch=best_epoch, best_metric=best_metric,
+                       thresholds=best_thresholds, report=best_report,
                        stopped_early=stopped_early)

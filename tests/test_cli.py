@@ -84,25 +84,70 @@ class TestTrainEval:
         assert ((tmp_path / "a" / "metrics.json").read_text()
                 == (tmp_path / "b" / "metrics.json").read_text())
 
-    def test_eval_reproduces_train_metrics(self, tiny_run, tmp_path):
-        run_dir, cfg_path, _ = tiny_run
-        out_dir = run_dir / "run"
-        main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"])
-        # rebuild the test split exactly as training did
+    def test_eval_reproduces_train_metrics(self, tiny_run):
+        # train's metrics.json comes from its in-memory model (and, without a
+        # test split, the best epoch's validation report); eval of the
+        # checkpoint must give the same report
         from ssmgraph.data import DatasetSpec, generate, save_bsg1, stratified_split
+        run_dir, cfg_path, _ = tiny_run
         full = generate(DatasetSpec(kind="correlation", n_sensors=3, t_len=64,
                                     size=24, seed=5))
-        _, _, test = stratified_split(full, [0.5, 0.25, 0.25], seed=3)
-        test_path = run_dir / "test.bsg1"
-        save_bsg1(test, test_path)
-        eval_dir = run_dir / "eval"
-        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
-                   "--data", str(test_path), "--out", str(eval_dir)])
-        assert rc == 0
-        train_metrics = json.loads((out_dir / "metrics.json").read_text())
-        eval_metrics = json.loads((eval_dir / "metrics.json").read_text())
-        for key in ("auroc", "auprc", "f1", "kappa"):
-            assert train_metrics[key] == eval_metrics[key]
+        for dtype in ("float32", "float64"):
+            for split in ([0.5, 0.25, 0.25], [0.5, 0.5]):
+                out_dir = run_dir / f"{dtype}-{len(split)}"
+                rc = main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--quiet",
+                           "--set", f"model.dtype={dtype}", "--set", f"data.split={split}"])
+                assert rc == 0
+                # rebuild the evaluated split exactly as training did
+                eval_path = out_dir / "eval.bsg1"
+                save_bsg1(stratified_split(full, split, seed=3)[-1], eval_path)
+                rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
+                           "--data", str(eval_path), "--out", str(out_dir / "eval")])
+                assert rc == 0
+                train_metrics = json.loads((out_dir / "metrics.json").read_text())
+                eval_metrics = json.loads((out_dir / "eval" / "metrics.json").read_text())
+                assert train_metrics.pop("split") == ("test" if len(split) == 3 else "val")
+                del train_metrics["best_epoch"], train_metrics["stopped_early"]
+                assert train_metrics == eval_metrics
+
+    @pytest.mark.parametrize("split", [[0.5, 0.25, 0.25], [0.5, 0.5]],
+                             ids=["test-split", "no-test-split"])
+    def test_no_validation_pass_or_reload_after_training(self, tiny_run, monkeypatch, split):
+        import ssmgraph.model
+        import ssmgraph.train
+        from ssmgraph.data import DatasetSpec, generate, stratified_split
+
+        run_dir, cfg_path, _ = tiny_run
+        passes = []
+        trained = []
+        real_collect, real_loop = ssmgraph.train.collect_outputs, ssmgraph.train.train_loop
+
+        def collect(model, dataset, *args):
+            if trained:
+                passes.append([r.record_id for r in dataset.records])
+            return real_collect(model, dataset, *args)
+
+        def loop(*args, **kwargs):
+            result = real_loop(*args, **kwargs)
+            trained.append(True)
+            return result
+
+        def no_reload(*args):
+            raise AssertionError("train read a checkpoint")
+
+        monkeypatch.setattr(ssmgraph.train, "collect_outputs", collect)
+        monkeypatch.setattr(ssmgraph.train, "train_loop", loop)
+        monkeypatch.setattr(ssmgraph.model, "load_checkpoint", no_reload)
+        rc = main(["train", "--config", str(cfg_path), "--out", str(run_dir / "run"),
+                   "--quiet", "--set", f"data.split={split}"])
+        assert rc == 0 and trained
+        if len(split) == 3:
+            full = generate(DatasetSpec(kind="correlation", n_sensors=3, t_len=64,
+                                        size=24, seed=5))
+            test = stratified_split(full, split, seed=3)[2]
+            assert passes == [[r.record_id for r in test.records]]
+        else:
+            assert passes == []
 
     def test_adj_analysis_outputs(self, tiny_run):
         tmp_path, cfg_path, data_path = tiny_run

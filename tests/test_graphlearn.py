@@ -278,7 +278,7 @@ class TestRegularizers:
         h = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
         for fn, leaves in (
-            (lambda: smoothness_loss(h, (w + w.swap_last2()) * 0.5), {"w": w, "h": h}),
+            (lambda: smoothness_loss(h, (w + w.transpose((1, 0))) * 0.5), {"w": w, "h": h}),
             (lambda: degree_loss(w), {"w": w}),
             (lambda: sparsity_loss(w), {"w": w}),
         ):

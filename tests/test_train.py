@@ -10,7 +10,7 @@ from ssmgraph.graphlearn import GslConfig, RegWeights
 from ssmgraph.model import ModelConfig, build_model
 from ssmgraph.optim import AdamW, DivergenceError, cosine_warmup_lr
 from ssmgraph.tensor import Tensor
-from ssmgraph.train import collect_outputs, train_loop, validation_metric
+from ssmgraph.train import build_report, collect_outputs, select_thresholds, train_loop
 
 
 class TestAdamW:
@@ -83,6 +83,24 @@ def tiny_data(size=24, seed=5):
     return stratified_split(ds, [0.7, 0.3], seed=1)
 
 
+def labelled_data(task, n_classes, size=24, seed=3):
+    """Random (3, 32, 1) records with binary, class-index or multi-hot labels."""
+    from ssmgraph.data import Dataset, SignalRecord
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(size):
+        if task == "multilabel":
+            y = rng.integers(0, 2, size=n_classes)
+            y[i % n_classes] = i % 2  # both labels in every class column
+        else:
+            y = i % max(n_classes, 2)
+        records.append(SignalRecord(x=rng.normal(size=(3, 32, 1)), y=y,
+                                    mask=np.ones(32, dtype=bool), true_length=32,
+                                    record_id=f"r{i}"))
+    return (Dataset(records=records[:16], task=task, n_classes=max(n_classes, 2)),
+            Dataset(records=records[16:], task=task, n_classes=max(n_classes, 2)))
+
+
 class TestTrainLoop:
     def test_zero_lr_zero_wd_parameters_frozen(self):
         model = tiny_model()
@@ -132,11 +150,35 @@ class TestTrainLoop:
                           batch_size=8, patience=20)
         result = train_loop(model, train, val, cfg, seed=0)
         metrics = [row[4] for row in result.history]
-        assert result.best_metric >= max(metrics) - 1e-12
-        # restored parameters reproduce the best epoch's metric
-        outputs = collect_outputs(model, val)
-        np.testing.assert_allclose(validation_metric(model, outputs),
-                                   result.best_metric, atol=1e-12)
+        assert result.best_metric == max(metrics) == metrics[result.best_epoch - 1]
+        # restored parameters reproduce the best epoch's thresholds and report
+        outputs = collect_outputs(model, val, cfg.batch_size)
+        assert select_thresholds(model, outputs) == result.thresholds
+        assert build_report(model, outputs, result.thresholds) == result.report
+
+    @pytest.mark.parametrize("task, n_classes, key", [("binary", 1, "auroc"),
+                                                      ("multiclass", 3, "macro_f1"),
+                                                      ("multilabel", 3, "macro_auroc")])
+    def test_selection_metric_is_report_headline(self, task, n_classes, key):
+        train, val = labelled_data(task, n_classes)
+        model = tiny_model(task=task, n_classes=n_classes)
+        cfg = OptimConfig(lr=2e-3, weight_decay=0.0, epochs=3, warmup_epochs=1,
+                          batch_size=8, patience=20)
+        result = train_loop(model, train, val, cfg, seed=0)
+        assert result.report["task"] == task
+        assert result.report[key] == result.best_metric == result.history[result.best_epoch - 1][4]
+
+    def test_multilabel_without_two_label_class_selects_by_zero(self):
+        train, val = labelled_data("multilabel", 3)
+        for rec in val.records:
+            rec.y = np.array([1, 0, 0])  # every class column is constant
+        model = tiny_model(task="multilabel", n_classes=3)
+        cfg = OptimConfig(lr=2e-3, weight_decay=0.0, epochs=2, warmup_epochs=1,
+                          batch_size=8, patience=20)
+        result = train_loop(model, train, val, cfg, seed=0)
+        assert result.report["macro_auroc"] is None
+        assert [row[4] for row in result.history] == [0.0, 0.0]
+        assert result.best_metric == 0.0 and result.best_epoch == 1
 
     def test_val_loss_is_batch_weighted_mean(self):
         from ssmgraph.data import collate
