@@ -22,7 +22,9 @@ _KIND_INDEX = 0     # label stored as a class index
 _KIND_BITMASK = 1   # label stored as a multilabel bitmask
 
 BSG1_MAGIC = b"BSG1"
-BSG1_VERSION = 1
+# Version 2 adds the padded length to the header; version 1 files still load,
+# padded to their longest record.
+BSG1_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -305,12 +307,14 @@ def _label_block(record: SignalRecord, task: str, n_classes: int) -> bytes:
 
 
 def save_bsg1(dataset: Dataset, path) -> bytes:
-    """magic | u32 version | u32 record count | per record:
+    """magic | u32 version | u32 record count | u32 padded length | per record:
     u32 N, T, M | label block | f32 LE values row-major (sensor, time, feature).
 
-    T is each record's true length; padding is reconstructed at load time.
+    T is each record's true length; the padded length is the longest record
+    array, so every record loads back zero-padded to the length it had.
     """
-    parts = [BSG1_MAGIC, struct.pack("<II", BSG1_VERSION, len(dataset.records))]
+    t_pad = max((rec.x.shape[1] for rec in dataset.records), default=0)
+    parts = [BSG1_MAGIC, struct.pack("<III", BSG1_VERSION, len(dataset.records), t_pad)]
     for rec in dataset.records:
         n, _, m = rec.x.shape
         t = rec.true_length
@@ -325,7 +329,9 @@ def save_bsg1(dataset: Dataset, path) -> bytes:
 
 
 def load_bsg1(path) -> Dataset:
-    """Parse a BSG1 file; errors report the byte offset and return nothing partial."""
+    """Parse a BSG1 file; errors report the byte offset and return nothing partial.
+    Records are zero-padded to the header's padded length, or in a version-1
+    file, which has none, to the file's longest record."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = 0
@@ -341,13 +347,17 @@ def load_bsg1(path) -> Dataset:
     if need(4, "magic") != BSG1_MAGIC:
         raise ParseError("bad magic at byte 0")
     version, count = struct.unpack("<II", need(8, "header"))
-    if version != BSG1_VERSION:
+    if version not in (1, BSG1_VERSION):
         raise ParseError(f"unsupported version {version} at byte 4")
+    t_pad = struct.unpack("<I", need(4, "padded length"))[0] if version == BSG1_VERSION else 0
     entries = []
     task = None
     n_classes = None
     for i in range(count):
         n, t, m = struct.unpack("<III", need(12, f"record {i} shape"))
+        if version == BSG1_VERSION and t > t_pad:
+            raise ParseError(f"record {i} length {t} exceeds padded length {t_pad} "
+                             f"at byte {off - 8}")
         kind, classes, value, id_len = struct.unpack("<IIII", need(16, f"record {i} label"))
         rid = need(id_len, f"record {i} id").decode("utf-8")
         values = np.frombuffer(need(4 * n * t * m, f"record {i} values"), dtype="<f4")
@@ -366,7 +376,7 @@ def load_bsg1(path) -> Dataset:
         raise ParseError(f"trailing bytes at offset {off}")
     if not entries:
         return Dataset(records=[], task="binary", n_classes=2)
-    t_max = max(x.shape[1] for _, _, x in entries)
+    t_max = t_pad if version == BSG1_VERSION else max(x.shape[1] for _, _, x in entries)
     records = []
     for rid, y, x in entries:
         t = x.shape[1]

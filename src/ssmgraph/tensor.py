@@ -7,13 +7,51 @@ recorded operations in reverse order to accumulate leaf gradients.
 
 Complex arithmetic never crosses this API: state-space kernels and the FFT
 convolution handle (re, im) pairs internally and return real tensors.
+
+Lifetime: the tape is the graph itself. Every op output holds its parents
+and its backward rule, and backward leaves each interior node's ``grad`` in
+place, so a step's activations and interior gradients live exactly as long
+as something holds its loss or outputs. ``train.train_loop`` drops both when
+a step ends; only parameters, their ``grad`` and the optimizer's moments
+outlive it.
+
+Allocator policy: one step frees hundreds of megabytes of activations and the
+next allocates the same sizes again. By default glibc serves arrays above its
+mmap threshold with fresh ``mmap`` calls and trims freed heap tops back to
+the OS, so every step faults those pages in again. Importing this module
+raises glibc's mmap and trim thresholds once (``_keep_freed_pages``), so freed
+pages stay in the process for reuse; on any other C library it does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
+
+# glibc mallopt parameters and the value given to both: 2**31 - 1 bytes, the
+# largest an int argument carries.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_BYTES = 2 ** 31 - 1
+
+
+def _keep_freed_pages() -> None:
+    """Ask glibc to serve arrays up to 2 GiB from its heap and to keep up to
+    2 GiB of free heap top, so memory a finished step frees is reused rather
+    than refaulted. A C library that is not glibc, or has no ``mallopt``, is
+    left as it is."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
+        mallopt(param, _KEEP_BYTES)
+
+
+_keep_freed_pages()
 
 # When enabled, every forward op asserts its output is finite. Tests switch
 # this on; training leaves it off and checks losses/steps instead.

@@ -142,6 +142,12 @@ def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,
     consecutive epochs. The best parameters (by ``validation_metric``) are
     restored into ``model`` before returning, with that epoch's thresholds
     and report. Raises DivergenceError on NaN loss.
+
+    Across steps only the parameters, their gradients and the optimizer's
+    moments stay alive: each step's graph is released before the next forward
+    and before validation, and each epoch's validation outputs before the
+    next epoch trains. The best epoch's thresholds, report and a copy of its
+    parameters are kept.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train and validation datasets must be non-empty")
@@ -167,19 +173,22 @@ def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,
             x, y, mask = collate(batch, dtype=model.cfg.np_dtype)
             out = model.forward(x, mask=mask, train=True, rng=dropout_rng)
             loss = model.total_loss(out, y)
-            if not np.isfinite(loss.item()):
+            step_loss = loss.item()
+            if not np.isfinite(step_loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             model.zero_grad()
             loss.backward()
             optimizer.step(lr)
+            del out, loss  # the step's whole graph; the next forward builds another
             model.assert_stable()
-            epoch_loss += loss.item() * len(batch)
+            epoch_loss += step_loss * len(batch)
             seen += len(batch)
         train_loss = epoch_loss / seen
         val_outputs = collect_outputs(model, val_ds, cfg.batch_size)
         val_loss = val_outputs.total_loss
         thresholds = select_thresholds(model, val_outputs)
         report = build_report(model, val_outputs, thresholds)
+        del val_outputs  # every validation record's graphs; nothing below reads them
         val_metric = validation_metric(model.cfg.task, report)
         history.append((epoch, lr, train_loss, val_loss, val_metric))
         if log:

@@ -84,6 +84,38 @@ class TestTrainEval:
         assert ((tmp_path / "a" / "metrics.json").read_text()
                 == (tmp_path / "b" / "metrics.json").read_text())
 
+    def test_padded_files_keep_their_length(self, tmp_path):
+        # 64-step records whose longest true length is 62: each file loads at
+        # 64 steps, which r=16 divides, not at its longest record's 62
+        from ssmgraph.data import Dataset, SignalRecord, save_bsg1
+
+        rng = np.random.default_rng(0)
+        for split in ("train", "val", "test"):
+            lengths = rng.integers(49, 63, size=10)
+            lengths[0] = 62
+            records = []
+            for i, t in enumerate(lengths):
+                x = np.zeros((3, 64, 1))
+                x[:, :t] = rng.normal(size=(3, t, 1))
+                y = rng.integers(0, 2, 3)
+                y[i % 3] = i % 2  # both labels in every class column
+                records.append(SignalRecord(x=x, y=y, mask=np.arange(64) < t,
+                                            true_length=int(t), record_id=f"{split}{i}"))
+            save_bsg1(Dataset(records=records, task="multilabel", n_classes=3),
+                      tmp_path / f"{split}.bsg1")
+        config = {
+            "model": {"n_sensors": 3, "d_model": 4, "s4_depth": 1, "p_states": 2,
+                      "gsl": {"r": 16, "knn_k": 1, "heads": 1},
+                      "n_classes": 3, "task": "multilabel"},
+            "optim": {"epochs": 1, "warmup_epochs": 0, "batch_size": 5},
+            "data": {split: str(tmp_path / f"{split}.bsg1") for split in ("train", "val", "test")},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 0
+        assert load_bsg1(tmp_path / "val.bsg1").records[0].x.shape == (3, 64, 1)
+
     def test_eval_reproduces_train_metrics(self, tiny_run):
         # train's metrics.json comes from its in-memory model (and, without a
         # test split, the best epoch's validation report); eval of the

@@ -1,6 +1,7 @@
 """Synthetic generators, BSG1 round trips, splits, and balancing."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -175,6 +176,44 @@ class TestBsg1:
         assert loaded.records[0].true_length == 8
         assert loaded.records[0].x.shape == (2, 12, 1)
         assert np.all(loaded.records[0].x[:, 8:] == 0)
+
+    @staticmethod
+    def short_records(rng):
+        # 12-step arrays whose longest record has 10 true steps
+        recs = []
+        for i, t in enumerate((8, 10)):
+            x = np.zeros((2, 12, 1))
+            x[:, :t] = rng.normal(size=(2, t, 1)).astype(np.float32)
+            recs.append(SignalRecord(x=x, y=i % 2, mask=np.arange(12) < t,
+                                     true_length=t, record_id=f"r{i}"))
+        return Dataset(records=recs, task="binary", n_classes=2)
+
+    def test_padded_length_kept(self, tmp_path, rng):
+        ds = self.short_records(rng)
+        path = tmp_path / "short.bsg1"
+        save_bsg1(ds, path)
+        loaded = load_bsg1(path)
+        for rec, orig in zip(loaded.records, ds.records):
+            np.testing.assert_array_equal(rec.x, orig.x)
+            np.testing.assert_array_equal(rec.mask, orig.mask)
+
+    def test_version1_pads_to_longest_record(self, tmp_path, rng):
+        ds = self.short_records(rng)
+        raw = save_bsg1(ds, None)
+        # version 1: the same records without the u32 padded length at byte 12
+        path = tmp_path / "v1.bsg1"
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, 2) + raw[16:])
+        loaded = load_bsg1(path)
+        for rec, orig in zip(loaded.records, ds.records):
+            np.testing.assert_array_equal(rec.x, orig.x[:, :10])
+            assert rec.true_length == orig.true_length
+
+    def test_record_longer_than_padded_length_rejected(self, tmp_path, rng):
+        raw = save_bsg1(self.short_records(rng), None)
+        path = tmp_path / "bad.bsg1"
+        path.write_bytes(raw[:12] + struct.pack("<I", 9) + raw[16:])
+        with pytest.raises(ParseError, match="record 1 length 10 exceeds padded length 9"):
+            load_bsg1(path)
 
     def test_multilabel_bitmask(self, tmp_path, rng):
         y = np.array([1, 0, 1, 1])

@@ -1,7 +1,12 @@
 """Tensor engine: op-level gradient checks, FFT convolution vs the direct
-oracle, softmax properties, and the Module parameter walk."""
+oracle, softmax properties, the Module parameter walk, and the allocator
+policy set at import."""
 
+import ctypes
 import functools
+import importlib
+import platform
+import types
 
 import numpy as np
 import pytest
@@ -482,6 +487,54 @@ class TestTensorInvariants:
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 2.0)
         assert 0.3 < (out.data > 0).mean() < 0.7
+
+
+class TestAllocatorPolicy:
+    """Importing the engine raises glibc's mmap and trim thresholds once and
+    is a no-op where the C library cannot be asked."""
+
+    @pytest.fixture
+    def reimport(self, monkeypatch):
+        # reload runs the module body again with a stand-in libc loader; the
+        # original namespace comes back afterwards, so every other module keeps
+        # the classes it imported
+        namespace = dict(vars(T))
+
+        def run(loader):
+            monkeypatch.setattr(ctypes, "CDLL", loader)
+            importlib.reload(T)
+            assert T._keep_freed_pages is not namespace["_keep_freed_pages"]
+
+        yield run
+        vars(T).clear()
+        vars(T).update(namespace)
+
+    def test_missing_libc_is_ignored(self, reimport):
+        def loader(name):
+            raise OSError(f"{name}: cannot open shared object file")
+        reimport(loader)
+
+    def test_libc_without_mallopt_is_ignored(self, reimport):
+        reimport(lambda name: object())
+
+    def test_glibc_asked_to_keep_freed_pages(self, reimport):
+        loaded, calls = [], []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        def loader(name):
+            loaded.append(name)
+            return types.SimpleNamespace(mallopt=mallopt)
+        reimport(loader)
+        assert loaded == ["libc.so.6"]
+        assert calls == [(-3, 2 ** 31 - 1), (-1, 2 ** 31 - 1)]  # M_MMAP_, M_TRIM_THRESHOLD
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="not glibc")
+    def test_glibc_accepts_both_thresholds(self):
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        assert [mallopt(param, 2 ** 31 - 1) for param in (-3, -1)] == [1, 1]
 
 
 class _Leaf(T.Module):

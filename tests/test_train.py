@@ -214,3 +214,63 @@ class TestTrainLoop:
         _, val = tiny_data()
         with pytest.raises(ValueError):
             train_loop(model, empty, val, OptimConfig(), seed=0)
+
+
+class TestTrainLoopReleases:
+    """What a finished step or epoch built is freed by reference counting,
+    with the cyclic collector off, before the work that follows it starts."""
+
+    @pytest.fixture
+    def tracked_run(self, monkeypatch):
+        import gc
+        import weakref
+
+        from ssmgraph import train
+        from ssmgraph.model import SsmGraphModel
+
+        losses, outputs = [], []   # weakrefs to each loss's data and each EvalOutputs
+        at_forward, at_collect = [], []   # (losses alive, outputs alive) at each call
+        total_loss, forward = SsmGraphModel.total_loss, SsmGraphModel.forward
+        collect = train.collect_outputs
+
+        def alive():
+            return (sum(r() is not None for r in losses),
+                    sum(r() is not None for r in outputs))
+
+        def tracked_loss(self, out, y):
+            loss = total_loss(self, out, y)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        def tracked_forward(self, *args, **kwargs):
+            at_forward.append(alive())
+            return forward(self, *args, **kwargs)
+
+        def tracked_collect(*args, **kwargs):
+            at_collect.append(alive())
+            result = collect(*args, **kwargs)
+            outputs.extend((weakref.ref(result), weakref.ref(result.graphs[0])))
+            return result
+
+        monkeypatch.setattr(SsmGraphModel, "total_loss", tracked_loss)
+        monkeypatch.setattr(SsmGraphModel, "forward", tracked_forward)
+        monkeypatch.setattr(train, "collect_outputs", tracked_collect)
+        model = tiny_model()
+        train_ds, val_ds = tiny_data()
+        cfg = OptimConfig(lr=1e-3, epochs=3, warmup_epochs=0, batch_size=8, patience=20)
+        gc.disable()
+        try:
+            train.train_loop(model, train_ds, val_ds, cfg, seed=0)
+        finally:
+            gc.enable()
+        # 3 epochs of 2 training batches, then 1 validation batch
+        assert len(at_forward) == 9 and len(at_collect) == 3
+        return at_forward, at_collect
+
+    def test_step_graph_released_before_next_forward_and_validation(self, tracked_run):
+        at_forward, at_collect = tracked_run
+        assert [losses for losses, _ in at_forward + at_collect] == [0] * 12
+
+    def test_validation_outputs_released_before_next_epoch(self, tracked_run):
+        at_forward, at_collect = tracked_run
+        assert [outputs for _, outputs in at_forward + at_collect] == [0] * 12
