@@ -65,29 +65,36 @@ def num_intervals(t_len: int, r) -> int:
     return t_len // r
 
 
+def padding_mask(mask, batch: int, length: int, dtype) -> np.ndarray | None:
+    """The (B, T) timestep mask as ``dtype``, or None if no step is padded."""
+    if mask is None:
+        return None
+    mask_arr = np.asarray(mask, dtype=dtype)
+    if mask_arr.shape != (batch, length):
+        raise ShapeError(f"mask shape {mask_arr.shape} != {(batch, length)}")
+    return None if np.all(mask_arr == 1.0) else mask_arr
+
+
 def interval_mean_pool(h: Tensor, r, mask: np.ndarray | None = None) -> Tensor:
     """Mean of valid timesteps per interval: (B, N, T, D) -> (B, n_d, N, D).
 
-    Padded timesteps (mask == 0) are excluded from numerator and denominator;
-    an interval with no valid step is a contract error.
+    Padded timesteps (mask == 0), nonzero in encoder output, are left out of
+    the sum and the count; an interval with no valid step is a contract error.
     """
     if h.ndim != 4:
         raise ShapeError(f"expected (B, N, T, D), got {h.shape}")
     batch, n_sensors, t_len, d = h.shape
     n_d = num_intervals(t_len, r)
     r_eff = t_len // n_d
-    if mask is None:
-        mask_arr = np.ones((batch, t_len), dtype=h.dtype)
-    else:
-        mask_arr = np.asarray(mask, dtype=h.dtype)
-        if mask_arr.shape != (batch, t_len):
-            raise ShapeError(f"mask shape {mask_arr.shape} != {(batch, t_len)}")
-    counts = mask_arr.reshape(batch, n_d, r_eff).sum(axis=-1)   # (B, n_d)
-    if np.any(counts < 1):
-        raise ContractError("an interval contains no valid timesteps; "
-                            "size r against each record's true length")
-    masked = h * Tensor(mask_arr[:, None, :, None])
-    blocks = masked.reshape((batch, n_sensors, n_d, r_eff, d)).sum(axis=3)  # (B, N, n_d, D)
+    mask_arr = padding_mask(mask, batch, t_len, h.dtype)
+    counts = np.full((batch, n_d), r_eff, dtype=h.dtype)
+    if mask_arr is not None:
+        counts = mask_arr.reshape(batch, n_d, r_eff).sum(axis=-1)   # (B, n_d)
+        if np.any(counts < 1):
+            raise ContractError("an interval contains no valid timesteps; "
+                                "size r against each record's true length")
+        h = h * Tensor(mask_arr[:, None, :, None])
+    blocks = h.reshape((batch, n_sensors, n_d, r_eff, d)).sum(axis=3)  # (B, N, n_d, D)
     pooled = blocks.transpose((0, 2, 1, 3))                                 # (B, n_d, N, D)
     return pooled / Tensor(counts[:, :, None, None])
 

@@ -20,7 +20,7 @@ from . import tensor as T
 from .data import TASKS
 from .gnn import ClassifierHead, GinLayer, PoolSpec, temporal_graph_readout
 from .graphlearn import (GslConfig, GslLayer, RegWeights, interval_mean_pool,
-                         num_intervals, reg_loss_total)
+                         num_intervals, padding_mask, reg_loss_total)
 from .rnn import GruLayer
 from .s4 import DT_MAX_DEFAULT, DT_MIN_DEFAULT, S4Layer
 from .tensor import ContractError, Module, ShapeError, Tensor
@@ -103,9 +103,9 @@ class SequenceEncoder(Module):
     Every sensor sequence runs through the same input projection and layer
     stack (S4 blocks or GRU layers), so permuting sensors permutes outputs
     identically. ``make_layer(rng)`` builds one layer; layers are drawn after
-    the projection. A timestep mask re-zeroes padded positions after the
-    projection and after every layer, and each layer receives it too, which
-    keeps padded records identical to their truncated versions.
+    the projection. A timestep mask goes to every layer and is not applied
+    here: outputs at padded steps hold values that no valid step reads, and
+    ``interval_mean_pool`` masks them, so padded records pool as truncated.
     """
 
     def __init__(self, input_dim: int, d_model: int, depth: int, make_layer,
@@ -125,19 +125,10 @@ class SequenceEncoder(Module):
         if m != self.input_dim:
             raise ShapeError(f"input width {m} != configured {self.input_dim}")
         h = x.reshape((batch * n_sensors, length, m)) @ self.w_in + self.b_in
-        mask_flat = None
-        if mask is not None:
-            mask_arr = np.asarray(mask, dtype=h.dtype)
-            if mask_arr.shape != (batch, length):
-                raise ShapeError(f"mask shape {mask_arr.shape} != (B, T)")
-            if not np.all(mask_arr == 1.0):  # an unpadded batch needs no masking
-                mask_flat = Tensor(np.repeat(mask_arr[:, None, :, None], n_sensors, axis=1)
-                                   .reshape(batch * n_sensors, length, 1))
-                h = h * mask_flat
+        mask_arr = padding_mask(mask, batch, length, h.dtype)
+        mask_flat = None if mask_arr is None else Tensor(np.repeat(mask_arr, n_sensors, axis=0)[:, :, None])
         for layer in self.layers:
             h = layer.forward(h, train=train, rng=rng, mask=mask_flat)
-            if mask_flat is not None:
-                h = h * mask_flat
         return h.reshape((batch, n_sensors, length, self.d_model))
 
 

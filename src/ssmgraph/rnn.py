@@ -94,7 +94,8 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tens
 
 
 class GruLayer(Module):
-    """GRU over (B, T, In) followed by dropout on its hidden states."""
+    """GRU over (B, T, In) followed by dropout on its hidden states. It ignores
+    ``mask``: the recurrence is causal and padding follows a record's end."""
 
     def __init__(self, d_in: int, d_model: int, rng: np.random.Generator,
                  dropout: float = 0.0, dtype=np.float64):
@@ -107,6 +108,5 @@ class GruLayer(Module):
 
     def forward(self, x: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None, mask: Tensor | None = None) -> Tensor:
-        # causal: padded steps after a record's end never reach its valid outputs
         h = gru_sequence(x, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
         return T.dropout(h, self.dropout, rng, train)

@@ -35,6 +35,12 @@ class TestIntervalMeanPool:
         trunc = interval_mean_pool(Tensor(x), "full").data
         np.testing.assert_allclose(full, trunc, atol=1e-14)
 
+    @pytest.mark.parametrize("mask", [None, np.ones((2, 8))])
+    def test_unpadded_pool_records_no_multiply(self, rng, mask):
+        h = Tensor(rng.normal(size=(2, 3, 8, 4)), requires_grad=True)
+        ops = Tape.trace(interval_mean_pool(h, 4, mask)).ops
+        assert not [op for op in ops if op.bwd.__qualname__.startswith("mul.")]
+
     def test_fully_padded_interval_rejected(self):
         h = Tensor(np.ones((1, 1, 4, 1)))
         mask = np.array([[1.0, 1.0, 0.0, 0.0]])

@@ -109,6 +109,31 @@ class TestAblations:
         assert out.logits.shape == (1, 1)
 
 
+class TestPadding:
+    """Only each S4 layer's convolution input and the interval pool are
+    masked; the whole model must still see each padded record as truncated."""
+
+    @pytest.mark.parametrize("encoder,bidirectional", [("s4", False), ("s4", True), ("gru", False)])
+    def test_padded_equals_truncated(self, encoder, bidirectional):
+        rng = np.random.default_rng(11)
+        cfg = desk_config(encoder=encoder, bidirectional=bidirectional, s4_depth=2,
+                          gsl=GslConfig(r="full", knn_k=1, epsilon=0.3, kappa=0.05, heads=1))
+        model = build_model(cfg, seed=3)
+        # trained-like values: a zero bias would hide a leak from padded steps
+        for name, p in model.named_parameters():
+            if name.rsplit(".", 1)[-1] in ("ln_beta", "d_skip", "b_in", "b_glu", "b_ih", "b_hh"):
+                p.data[...] = rng.normal(size=p.shape)
+        lengths = np.array([16, 11, 7])
+        mask = np.arange(16) < lengths[:, None]
+        x = rng.normal(size=(3, 3, 16, 1))
+        x = np.where(mask[:, None, :, None], x, 1e3 * rng.normal(size=x.shape))
+        out = model.forward(x, mask=mask)
+        for i, t in enumerate(lengths):
+            alone = model.forward(x[i:i + 1, :, :t])
+            np.testing.assert_allclose(out.logits.data[i], alone.logits.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.graphs[i], alone.graphs[0], rtol=0, atol=1e-12)
+
+
 class TestLoss:
     def test_zero_reg_weights_total_is_prediction(self, rng):
         model = build_model(desk_config(reg=RegWeights()), seed=0)

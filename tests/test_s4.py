@@ -278,6 +278,17 @@ class TestS4Encoder:
             out_trunc = enc.encode(Tensor(x_full[:, :, :true_len])).data
             np.testing.assert_allclose(out_masked, out_trunc, atol=1e-10, err_msg=f"bidir={bidir}")
 
+    def test_padded_encode_masks_only_the_convolution_inputs(self, rng):
+        layer = partial(S4Layer, 4, 3, bidirectional=True, dropout=0.2)
+        enc = SequenceEncoder(1, 4, 3, layer, np.random.default_rng(0))
+        mask = np.arange(12) < np.array([[12], [7]])
+        h = enc.encode(Tensor(rng.normal(size=(2, 3, 12, 1))), mask=mask, train=True, rng=rng)
+        muls = [op for op in Tape.trace(h).ops if op.bwd.__qualname__.startswith("mul.")]
+        assert len(muls) == len(enc.layers)
+        # each multiplies a LayerNorm output by the mask, right before the convolution
+        assert all(op.parents[0]._bwd.__qualname__.startswith("layer_norm_lastdim.")
+                   for op in muls)
+
     def test_channel_independence_gradient(self, rng):
         # d(out[channel j]) / d(in[channel k]) == 0 for j != k
         enc = s4_encoder(1, 3, 1, 2, rng)
