@@ -85,6 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_positive(*flags: tuple[str, int]) -> None:
+    """Reject an integer flag below 1 before any work, naming it (exit 2)."""
+    for flag, value in flags:
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -159,8 +166,7 @@ def cmd_eval(args) -> int:
     from .train import (build_report, check_labels, collect_outputs, predictions_correct,
                         select_thresholds)
 
-    if args.permutations < 1:
-        raise ConfigError(f"--permutations must be >= 1, got {args.permutations}")
+    _require_positive(("--permutations", args.permutations), ("--batch-size", args.batch_size))
     model, extra = load_checkpoint(args.checkpoint)
     if args.adj_analysis and model.cfg.task == "multilabel":
         raise ConfigError("--adj-analysis groups records by a single class index; "
@@ -187,6 +193,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    import math
+
     import numpy as np
 
     from .gnn import PoolSpec
@@ -194,6 +202,10 @@ def cmd_gradcheck(args) -> int:
     from .graphlearn import GslConfig, RegWeights
     from .model import ModelConfig, build_model
 
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ValueError(f"--step must be finite and > 0, got {args.step}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cfg = ModelConfig(
         n_sensors=3, input_dim=1, d_model=8, s4_depth=2, p_states=4,
         gsl=GslConfig(r=8, knn_k=1, epsilon=0.0, kappa=0.05, heads=1),
@@ -251,20 +263,27 @@ def cmd_export_adj(args) -> int:
 
 
 def _parse_sweep(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--sweep-nd: expected a range like 1..10 or a list like 1,2,6, "
+                         f"got {text!r}") from None
 
 
 def cmd_profile(args) -> int:
     from .model import GSL_MACS_NODE_FACTOR, gsl_mac_estimate, gsl_param_count
 
+    sweep = _parse_sweep(args.sweep_nd)
+    _require_positive(("--d", args.d), ("--n-sensors", args.n_sensors), ("--t", args.t),
+                      *(("--sweep-nd", n_d) for n_d in sweep))
     params = gsl_param_count(args.d)
     print(f"graph-learner cost at D={args.d}, N={args.n_sensors}, T={args.t} "
           f"({GSL_MACS_NODE_FACTOR}*D^2 MACs per node per interval)")
     print(f"{'n_d':>4}  {'r':>8}  {'params':>10}  {'macs':>14}")
-    for n_d in _parse_sweep(args.sweep_nd):
+    for n_d in sweep:
         if args.t % n_d != 0:
             print(f"{n_d:>4}  {'-':>8}  {params:>10}  {'-':>14}")
             continue

@@ -117,6 +117,9 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("correlation", "longrange"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        for name in ("n_sensors", "t_len", "input_dim", "size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.class_balance < 1.0:
             raise ValueError("class_balance must be in (0, 1)")
         if self.kind == "correlation" and self.n_sensors < 3:

@@ -68,6 +68,11 @@ class ModelConfig:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.encoder not in ENCODERS:
             raise ContractError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
+        for name in ("d_model", "p_states"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.task == "binary" and self.n_classes != 1:
             raise ContractError("binary task uses a single sigmoid logit (n_classes=1)")
         if self.task != "binary" and self.n_classes < 2:

@@ -58,6 +58,17 @@ class TestGenData:
         assert out.read_bytes() == save_bsg1(generate(DatasetSpec(kind=kind)), None)
 
 
+class TestGenDataErrors:
+    @pytest.mark.parametrize("flag", ["--size", "--n-sensors", "--t-len", "--input-dim"])
+    def test_nonpositive_size_exit_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "d.bsg1"
+        argv = ["gen-data", "--kind", "longrange", "--out", str(out), "--size", "2",
+                "--t-len", "1024"]
+        assert main(argv + [flag, "0"]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainEval:
     def test_train_writes_artifacts(self, tiny_run):
         tmp_path, cfg_path, _ = tiny_run
@@ -418,6 +429,12 @@ class TestErrors:
         (None, ['data.train="missing.bsg1"'], "data.train: give either 'spec' or BSG1 paths"),
         ({"data": {"train": "a.bsg1", "val": "b.bsg1", "split": [0.5, 0.5]}}, [],
          "data.split: only a 'spec' is split"),
+        # each crashed inside the model, or trained silently without dropout
+        (None, ["model.d_model=0"], "model: d_model must be >= 1, got 0"),
+        (None, ["model.p_states=0"], "model: p_states must be >= 1, got 0"),
+        (None, ["model.dropout=1.0"], "model: dropout must be in [0, 1), got 1.0"),
+        (None, ["model.dropout=-0.5"], "model: dropout must be in [0, 1), got -0.5"),
+        (None, ["data.spec.size=0"], "data.spec: size must be >= 1, got 0"),
     ])
     def test_bad_run_config_exit_2(self, tiny_run, capsys, config, overrides, message):
         tmp_path, cfg_path, _ = tiny_run
@@ -428,6 +445,31 @@ class TestErrors:
             argv += ["--set", override]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gradcheck", "--step", "0"], "--step"),
+        (["gradcheck", "--step", "nan"], "--step"),
+        (["gradcheck", "--tolerance", "-1"], "--tolerance"),
+        (["gradcheck", "--tolerance", "inf"], "--tolerance"),
+        (["profile", "--sweep-nd", "0"], "--sweep-nd"),
+        (["profile", "--sweep-nd", "0..2"], "--sweep-nd"),
+        (["profile", "--sweep-nd", "1..x"], "--sweep-nd"),
+        (["profile", "--t", "0"], "--t"),
+        (["profile", "--d", "-3"], "--d"),
+        (["profile", "--n-sensors", "0"], "--n-sensors"),
+        (["eval", "--batch-size", "0"], "--batch-size"),
+        (["eval", "--batch-size", "-2"], "--batch-size"),
+    ])
+    def test_bad_flag_exit_2_before_any_work(self, tmp_path, capsys, argv, flag):
+        if argv[0] == "eval":
+            argv = argv + ["--checkpoint", "missing.gs4m", "--data", "missing.bsg1",
+                           "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.split()[1].rstrip(":") == flag, captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_directory_path_exit_2(self, tiny_run, capsys):
         tmp_path, _, data_path = tiny_run
