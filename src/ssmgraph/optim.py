@@ -14,15 +14,16 @@ class DivergenceError(ArithmeticError):
 def cosine_warmup_lr(epoch: int, total_epochs: int, warmup_epochs: int, base_lr: float) -> float:
     """Learning rate for a 1-indexed epoch.
 
-    Linear ramp base*epoch/warmup during warmup (exactly base at
-    epoch == warmup), then cosine decay to 0 at epoch == total_epochs.
+    Linear ramp base*epoch/warmup during warmup, exactly base at epoch
+    max(warmup, 1), then cosine decay toward 0 that stops one epoch short of
+    it, so every epoch, a 1-epoch run's included, trains with lr > 0.
     """
     if not 1 <= epoch <= total_epochs:
         raise ValueError(f"epoch {epoch} outside [1, {total_epochs}]")
-    if warmup_epochs > 0 and epoch < warmup_epochs:
+    if epoch < warmup_epochs:
         return base_lr * epoch / warmup_epochs
-    span = total_epochs - warmup_epochs
-    progress = (epoch - warmup_epochs) / span if span > 0 else 1.0
+    peak = max(warmup_epochs, 1)
+    progress = (epoch - peak) / (total_epochs - peak + 1)
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 

@@ -51,8 +51,14 @@ class TestCosineWarmup:
     def test_warmup_boundary_hits_base(self):
         assert cosine_warmup_lr(5, 50, 5, 1e-3) == 1e-3
 
-    def test_final_epoch_zero(self):
-        assert abs(cosine_warmup_lr(50, 50, 5, 1e-3)) < 1e-18
+    @pytest.mark.parametrize("epochs, warmup", [(1, 0), (5, 5), (30, 0), (50, 5)])
+    def test_every_epoch_trains(self, epochs, warmup):
+        lrs = [cosine_warmup_lr(e, epochs, warmup, 1e-3) for e in range(1, epochs + 1)]
+        peak = max(warmup, 1)
+        assert lrs[:peak - 1] == [1e-3 * e / warmup for e in range(1, peak)]
+        assert lrs[peak - 1] == 1e-3
+        assert all(a >= b > 0 for a, b in zip(lrs[peak - 1:], lrs[peak:]))
+        assert lrs[-1] > 0
 
     def test_linear_ramp(self):
         np.testing.assert_allclose(cosine_warmup_lr(2, 50, 5, 1.0), 0.4)
