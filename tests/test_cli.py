@@ -57,8 +57,6 @@ class TestGenData:
         assert main(["gen-data", "--kind", kind, "--out", str(out)]) == 0
         assert out.read_bytes() == save_bsg1(generate(DatasetSpec(kind=kind)), None)
 
-
-class TestGenDataErrors:
     @pytest.mark.parametrize("flag", ["--size", "--n-sensors", "--t-len", "--input-dim"])
     def test_nonpositive_size_exit_2(self, tmp_path, capsys, flag):
         out = tmp_path / "d.bsg1"
