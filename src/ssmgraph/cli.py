@@ -98,6 +98,18 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _load_checkpoint_and_data(args):
+    """(model, extra, dataset) of ``--checkpoint`` and ``--data``; labels must fit."""
+    from .data import load_bsg1
+    from .model import load_checkpoint
+    from .train import check_labels
+
+    model, extra = load_checkpoint(args.checkpoint)
+    dataset = load_bsg1(args.data)
+    check_labels(model.cfg, dataset)
+    return model, extra, dataset
+
+
 def cmd_gen_data(args) -> int:
     from dataclasses import fields
 
@@ -159,20 +171,15 @@ def cmd_eval(args) -> int:
     from pathlib import Path
 
     from .config import ConfigError
-    from .data import load_bsg1
     from .graphlearn import write_adjacency_csv
     from .metrics import adjacency_delta_table, class_mean_adjacency
-    from .model import load_checkpoint
-    from .train import (build_report, check_labels, collect_outputs, predictions_correct,
-                        select_thresholds)
+    from .train import build_report, collect_outputs, predictions_correct, select_thresholds
 
     _require_positive(("--permutations", args.permutations), ("--batch-size", args.batch_size))
-    model, extra = load_checkpoint(args.checkpoint)
+    model, extra, dataset = _load_checkpoint_and_data(args)
     if args.adj_analysis and model.cfg.task == "multilabel":
         raise ConfigError("--adj-analysis groups records by a single class index; "
                           "a multilabel checkpoint has none")
-    dataset = load_bsg1(args.data)
-    check_labels(model.cfg, dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = collect_outputs(model, dataset, args.batch_size)
@@ -235,14 +242,10 @@ def cmd_export_adj(args) -> int:
     from dataclasses import replace
     from pathlib import Path
 
-    from .data import load_bsg1
     from .graphlearn import write_adjacency_csv
-    from .model import load_checkpoint
-    from .train import check_labels, collect_outputs
+    from .train import collect_outputs
 
-    model, _ = load_checkpoint(args.checkpoint)
-    dataset = load_bsg1(args.data)
-    check_labels(model.cfg, dataset)
+    model, _, dataset = _load_checkpoint_and_data(args)
     if args.records != "all":
         wanted = set(args.records.split(","))
         missing = wanted - {r.record_id for r in dataset.records}

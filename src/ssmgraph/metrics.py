@@ -104,11 +104,6 @@ def threshold_select(scores, labels) -> float:
     return float((distinct[k] + distinct[k + 1]) / 2.0)
 
 
-def threshold_select_multilabel(scores: np.ndarray, labels: np.ndarray) -> list:
-    """Independent per-class cutoffs for (n, C) score/label matrices."""
-    return [threshold_select(scores[:, c], labels[:, c]) for c in range(scores.shape[1])]
-
-
 # -- report assembly ---------------------------------------------------------
 
 
@@ -130,30 +125,37 @@ def binary_report(scores, labels, threshold: float) -> dict:
     }
 
 
+def _class_entry(scores, truth, pred) -> dict:
+    """One class's F1 and support, with AUROC/AUPRC when both labels occur
+    (AUROC None otherwise); ``truth`` and ``pred`` are boolean."""
+    f1, _ = fbeta_gbeta(confusion_counts(pred, truth), 1.0)
+    entry = {"f1": f1, "support": int(truth.sum())}
+    try:
+        entry["auroc"], entry["auprc"] = auroc_auprc(scores, truth.astype(int))
+    except MetricError:
+        entry["auroc"] = None
+    return entry
+
+
+def _macro(per_class: dict, key: str):
+    """Mean of the entries' ``key`` over the classes that have one; None if none."""
+    values = [entry[key] for entry in per_class.values() if entry[key] is not None]
+    return float(np.mean(values)) if values else None
+
+
 def multiclass_report(scores, labels, n_classes: int) -> dict:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(int)
     pred = scores.argmax(axis=-1)
-    per_class = {}
-    f1s, aurocs = [], []
-    for c in range(n_classes):
-        conf = confusion_counts(pred == c, labels == c)
-        f1, _ = fbeta_gbeta(conf, 1.0)
-        entry = {"f1": f1, "support": int((labels == c).sum())}
-        try:
-            entry["auroc"], entry["auprc"] = auroc_auprc(scores[:, c], (labels == c).astype(int))
-            aurocs.append(entry["auroc"])
-        except MetricError:
-            entry["auroc"] = None
-        f1s.append(f1)
-        per_class[str(c)] = entry
+    per_class = {str(c): _class_entry(scores[:, c], labels == c, pred == c)
+                 for c in range(n_classes)}
     matrix = np.zeros((n_classes, n_classes), dtype=int)
     for p, t in zip(pred, labels):
         matrix[t, p] += 1
     return {
         "task": "multiclass", "n_records": int(len(labels)),
-        "macro_f1": float(np.mean(f1s)),
-        "macro_auroc": float(np.mean(aurocs)) if aurocs else None,
+        "macro_f1": _macro(per_class, "f1"),
+        "macro_auroc": _macro(per_class, "auroc"),
         "kappa": cohen_kappa(pred, labels, n_classes),
         "per_class": per_class,
         "confusion_matrix": matrix.tolist(),
@@ -163,29 +165,18 @@ def multiclass_report(scores, labels, n_classes: int) -> dict:
 def multilabel_report(scores, labels, thresholds) -> dict:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(int)
-    n_classes = scores.shape[1]
     per_class = {}
-    f1s, f2s, g2s, aurocs = [], [], [], []
-    for c in range(n_classes):
-        conf = confusion_counts(scores[:, c] >= thresholds[c], labels[:, c] == 1)
-        f1, _ = fbeta_gbeta(conf, 1.0)
-        f2, g2 = fbeta_gbeta(conf, 2.0)
-        entry = {"f1": f1, "f2": f2, "g2": g2, "threshold": float(thresholds[c]),
-                 "support": int(labels[:, c].sum())}
-        try:
-            entry["auroc"], entry["auprc"] = auroc_auprc(scores[:, c], labels[:, c])
-            aurocs.append(entry["auroc"])
-        except MetricError:
-            entry["auroc"] = None
-        f1s.append(f1)
-        f2s.append(f2)
-        g2s.append(g2)
+    for c in range(scores.shape[1]):
+        truth, pred = labels[:, c] == 1, scores[:, c] >= thresholds[c]
+        entry = _class_entry(scores[:, c], truth, pred)
+        entry["f2"], entry["g2"] = fbeta_gbeta(confusion_counts(pred, truth), 2.0)
+        entry["threshold"] = float(thresholds[c])
         per_class[str(c)] = entry
     return {
         "task": "multilabel", "n_records": int(len(labels)),
-        "macro_f1": float(np.mean(f1s)), "macro_f2": float(np.mean(f2s)),
-        "macro_g2": float(np.mean(g2s)),
-        "macro_auroc": float(np.mean(aurocs)) if aurocs else None,
+        "macro_f1": _macro(per_class, "f1"), "macro_f2": _macro(per_class, "f2"),
+        "macro_g2": _macro(per_class, "g2"),
+        "macro_auroc": _macro(per_class, "auroc"),
         "per_class": per_class,
         "thresholds": [float(t) for t in thresholds],
     }

@@ -190,25 +190,24 @@ class SsmGraphModel(Module):
         return self.prediction_loss(out.logits, y) + out.reg_loss
 
     def prediction_loss(self, logits: Tensor, y) -> Tensor:
-        cfg = self.cfg
+        """Softmax cross-entropy on class indices (multiclass), else sigmoid
+        cross-entropy per logit column; binary labels (B,) are one column."""
+        task = self.cfg.task
         y = np.asarray(y)
-        if cfg.task == "binary":
-            if y.ndim != 1 or logits.shape != (y.shape[0], 1):
-                raise ContractError("binary task expects y of shape (B,) and logits (B, 1)")
-            return T.bce_with_logits(logits, y.astype(float)[:, None])
-        if cfg.task == "multilabel":
-            if y.shape != logits.shape:
-                raise ContractError(f"multilabel y shape {y.shape} != logits {logits.shape}")
-            return T.bce_with_logits(logits, y.astype(float))
-        if y.ndim != 1 or y.shape[0] != logits.shape[0]:
-            raise ContractError("multiclass task expects integer labels of shape (B,)")
-        return T.softmax_cross_entropy(logits, y)
+        if task == "multiclass":
+            if y.shape != logits.shape[:1]:
+                raise ContractError("multiclass task expects integer labels of shape (B,)")
+            return T.softmax_cross_entropy(logits, y)
+        if task == "binary":
+            y = y[..., None]
+        if y.shape != logits.shape:
+            raise ContractError(f"{task} labels shape {y.shape} != logits {logits.shape}")
+        return T.bce_with_logits(logits, y)
 
     def scores(self, logits: np.ndarray) -> np.ndarray:
         """Map logits to decision scores: sigmoid probabilities or softmax rows."""
         if self.cfg.task == "multiclass":
-            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-            return e / e.sum(axis=-1, keepdims=True)
+            return T._softmax(logits)
         return T._sigmoid(logits)
 
 

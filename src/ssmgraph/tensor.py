@@ -524,9 +524,7 @@ def softmax_lastdim(a) -> Tensor:
     Each last-axis slice of the output is nonnegative and sums to 1.
     """
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    out_data = ex / ex.sum(axis=-1, keepdims=True)
+    out_data = _softmax(a.data)
 
     def bwd(g):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
@@ -574,6 +572,12 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.exp(out, out=out)
         out += 1.0
         return np.reciprocal(out, out=out)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis of an array."""
+    ex = np.exp(z - z.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def _keep_mask(shape, p: float, rng: np.random.Generator | None, dtype) -> np.ndarray:

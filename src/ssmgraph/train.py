@@ -14,8 +14,7 @@ import numpy as np
 from . import tensor as T
 from .config import OptimConfig
 from .data import Dataset, collate, undersample_majority
-from .metrics import (binary_report, multiclass_report, multilabel_report,
-                      threshold_select, threshold_select_multilabel)
+from .metrics import binary_report, multiclass_report, multilabel_report, threshold_select
 from .model import ModelConfig, SsmGraphModel
 from .optim import AdamW, DivergenceError, cosine_warmup_lr
 
@@ -106,13 +105,19 @@ def validation_loss(model: SsmGraphModel, dataset: Dataset, batch_size: int) -> 
     return collect_outputs(model, dataset, batch_size).total_loss
 
 
+def _sigmoid_columns(outputs: EvalOutputs) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels of a sigmoid task as (n, C) columns; binary has C = 1."""
+    n = len(outputs.labels)
+    return outputs.scores.reshape(n, -1), outputs.labels.reshape(n, -1)
+
+
 def select_thresholds(model: SsmGraphModel, outputs: EvalOutputs):
-    """F1-maximizing cutoffs on validation scores (per class for multilabel)."""
-    if model.cfg.task == "binary":
-        return [threshold_select(outputs.scores, outputs.labels)]
-    if model.cfg.task == "multilabel":
-        return threshold_select_multilabel(outputs.scores, outputs.labels)
-    return []
+    """F1-maximizing cutoff per sigmoid column (one for binary); none for
+    multiclass, which predicts the argmax."""
+    if model.cfg.task == "multiclass":
+        return []
+    scores, labels = _sigmoid_columns(outputs)
+    return [threshold_select(scores[:, c], labels[:, c]) for c in range(scores.shape[1])]
 
 
 def build_report(model: SsmGraphModel, outputs: EvalOutputs, thresholds) -> dict:
@@ -125,13 +130,12 @@ def build_report(model: SsmGraphModel, outputs: EvalOutputs, thresholds) -> dict
 
 
 def predictions_correct(model: SsmGraphModel, outputs: EvalOutputs, thresholds) -> np.ndarray:
-    task = model.cfg.task
-    if task == "binary":
-        return (outputs.scores >= thresholds[0]).astype(int) == outputs.labels
-    if task == "multiclass":
+    """Per record: the argmax is the class (multiclass), or every sigmoid
+    column's cutoff decision matches its label."""
+    if model.cfg.task == "multiclass":
         return outputs.scores.argmax(axis=-1) == outputs.labels
-    pred = outputs.scores >= np.asarray(thresholds)[None, :]
-    return np.all(pred == (outputs.labels == 1), axis=-1)
+    scores, labels = _sigmoid_columns(outputs)
+    return np.all((scores >= np.asarray(thresholds)) == (labels == 1), axis=-1)
 
 
 def train_loop(model: SsmGraphModel, train_ds: Dataset, val_ds: Dataset,

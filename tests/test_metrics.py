@@ -1,5 +1,7 @@
 """Metric formulas against brute-force oracles and hand evaluations."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,15 @@ from ssmgraph.metrics import (MetricError, auroc_auprc, binary_report,
                               confusion_counts, delta_permutation_test,
                               delta_stats, fbeta_gbeta, multiclass_report,
                               multilabel_report, sensitivity_specificity,
-                              threshold_select, threshold_select_multilabel)
+                              threshold_select)
+from ssmgraph.train import EvalOutputs, predictions_correct, select_thresholds
+
+
+def sigmoid_outputs(task, scores, labels):
+    """A stand-in model of ``task`` and its outputs for the train helpers."""
+    model = SimpleNamespace(cfg=SimpleNamespace(task=task))
+    return model, EvalOutputs(scores=scores, labels=labels, graphs=[], record_ids=[],
+                              total_loss=0.0)
 
 
 def auroc_bruteforce(scores, labels):
@@ -155,9 +165,23 @@ class TestThresholdSelect:
         labels = rng.integers(0, 2, size=(20, 3))
         labels[0] = [1, 1, 1]
         labels[1] = [0, 0, 0]
-        cuts = threshold_select_multilabel(scores, labels)
+        cuts = select_thresholds(*sigmoid_outputs("multilabel", scores, labels))
         for c in range(3):
             assert cuts[c] == threshold_select(scores[:, c], labels[:, c])
+
+    def test_binary_is_one_sigmoid_column(self, rng):
+        scores = np.round(rng.uniform(size=20), 1)
+        labels = rng.integers(0, 2, size=20)
+        labels[:2] = [0, 1]
+        model, outputs = sigmoid_outputs("binary", scores, labels)
+        cuts = select_thresholds(model, outputs)
+        assert cuts == [threshold_select(scores, labels)]
+        column = sigmoid_outputs("multilabel", scores[:, None], labels[:, None])
+        assert select_thresholds(*column) == cuts
+        np.testing.assert_array_equal(predictions_correct(model, outputs, cuts),
+                                      (scores >= cuts[0]) == (labels == 1))
+        np.testing.assert_array_equal(predictions_correct(*column, cuts),
+                                      predictions_correct(model, outputs, cuts))
 
 
 class TestReports:
@@ -184,10 +208,22 @@ class TestReports:
         labels = rng.integers(0, 2, size=(30, 4))
         labels[0] = 1
         labels[1] = 0
-        cuts = threshold_select_multilabel(scores, labels)
+        cuts = [threshold_select(scores[:, c], labels[:, c]) for c in range(4)]
         rep = multilabel_report(scores, labels, cuts)
         assert set(rep["per_class"]) == {"0", "1", "2", "3"}
         assert rep["macro_f1"] == np.mean([rep["per_class"][str(c)]["f1"] for c in range(4)])
+
+
+    def test_single_label_class_left_out_of_macro_auroc(self, rng):
+        scores = rng.uniform(size=(12, 3))
+        labels = np.arange(12) % 2  # class 2 never occurs
+        for rep in (multiclass_report(scores, labels, 3),
+                    multilabel_report(scores, np.stack([labels, 1 - labels, labels * 0], axis=1),
+                                      [0.5] * 3)):
+            per_class = rep["per_class"]
+            assert per_class["2"]["auroc"] is None and per_class["2"]["support"] == 0
+            assert rep["macro_auroc"] == np.mean([per_class[c]["auroc"] for c in "01"])
+            assert rep["macro_f1"] == np.mean([per_class[c]["f1"] for c in "012"])
 
 
 class TestSensitivitySpecificity:
