@@ -65,28 +65,17 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def class_indices(self) -> np.ndarray:
-        """Integer labels; multilabel datasets have no single class index."""
-        if self.task == "multilabel":
-            raise ValueError("multilabel records have no single class index")
-        return np.array([r.y for r in self.records], dtype=np.int64)
 
-    def labels_matrix(self) -> np.ndarray:
-        if self.task == "multilabel":
-            return np.stack([np.asarray(r.y, dtype=np.int64) for r in self.records])
-        return self.class_indices()
+def stack_labels(records) -> np.ndarray:
+    """Class indices (n,), or multi-hot rows (n, C) of multilabel records."""
+    return np.array([r.y for r in records], dtype=np.int64)
 
 
 def collate(records, dtype=np.float64):
     """Stack records into batch arrays (x, y, mask)."""
     x = np.stack([r.x for r in records]).astype(dtype)
     mask = np.stack([r.mask for r in records]).astype(dtype)
-    first = records[0]
-    if np.ndim(first.y) == 0:
-        y = np.array([int(r.y) for r in records], dtype=np.int64)
-    else:
-        y = np.stack([np.asarray(r.y, dtype=np.int64) for r in records])
-    return x, y, mask
+    return x, stack_labels(records), mask
 
 
 # Correlation task: every stream mixes a fast AR(1), a slower AR(1) (fresh
@@ -258,7 +247,7 @@ def stratified_split(dataset: Dataset, fractions, seed: int) -> list:
     if dataset.task == "multilabel":
         groups = {"all": list(range(len(dataset)))}
     else:
-        labels = dataset.class_indices()
+        labels = stack_labels(dataset.records)
         groups = {c: list(np.flatnonzero(labels == c)) for c in np.unique(labels)}
     parts = [[] for _ in fractions]
     for _, idxs in sorted(groups.items(), key=lambda kv: str(kv[0])):

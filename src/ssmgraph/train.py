@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import OptimConfig
-from .data import Dataset, collate, undersample_majority
+from .data import Dataset, collate, stack_labels, undersample_majority
 from .metrics import binary_report, multiclass_report, multilabel_report, threshold_select
 from .model import ModelConfig, SsmGraphModel
 from .optim import AdamW, DivergenceError, cosine_warmup_lr
@@ -72,7 +72,7 @@ def collect_outputs(model: SsmGraphModel, dataset: Dataset, batch_size: int = 32
             graphs.extend(out.graphs[i] for i in range(len(records)))
             ids.extend(r.record_id for r in records)
     return EvalOutputs(scores=np.concatenate(scores, axis=0),
-                       labels=dataset.labels_matrix(),
+                       labels=stack_labels(dataset.records),
                        graphs=graphs, record_ids=ids, total_loss=total / len(dataset))
 
 

@@ -248,7 +248,7 @@ class TestSplitsAndBalance:
         train, val, test = stratified_split(ds, [0.6, 0.2, 0.2], seed=0)
         assert len(train) + len(val) + len(test) == 100
         for part, frac in ((train, 0.6), (val, 0.2), (test, 0.2)):
-            labels = part.class_indices()
+            labels = data.stack_labels(part.records)
             for c, total in ((1, 30), (0, 70)):
                 expected = frac * total
                 got = int((labels == c).sum())
