@@ -273,7 +273,8 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
-    """Rebuild a model from a checkpoint; returns (model, extra-metadata)."""
+    """Rebuild a model from a checkpoint, which must set every parameter
+    exactly once; returns (model, extra-metadata)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = 0
@@ -298,6 +299,7 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
     model = build_model(cfg, seed=0)
     params = dict(model.named_parameters())
     n_tensors = struct.unpack("<I", need(4))[0]
+    loaded = set()
     for _ in range(n_tensors):
         name_len = struct.unpack("<I", need(4))[0]
         name = need(name_len).decode("utf-8")
@@ -313,11 +315,17 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
         values = np.frombuffer(need(dtype.itemsize * count), dtype=dtype).reshape(shape)
         if name not in params:
             raise CheckpointError(f"unknown parameter {name!r} in checkpoint")
+        if name in loaded:
+            raise CheckpointError(f"parameter {name!r} repeated in checkpoint")
+        loaded.add(name)
         if params[name].shape != shape:
             raise CheckpointError(f"parameter {name!r} shape {shape} != {params[name].shape}")
         params[name].data[...] = values.astype(cfg.np_dtype)
     if off != len(raw):
         raise CheckpointError(f"trailing bytes at offset {off}")
+    missing = [name for name in params if name not in loaded]
+    if missing:
+        raise CheckpointError(f"parameter {missing[0]!r} missing from checkpoint")
     if version == 1:
         for name, p in params.items():
             if name.endswith(".core_rev.d_skip"):

@@ -220,12 +220,13 @@ class TestProfile:
         assert gsl_param_count(128) == 32768  # unchanged by n_d
 
 
-def checkpoint_bytes(model, version: int) -> bytes:
+def checkpoint_bytes(model, version: int, params=None) -> bytes:
     """The GS4M layout of each version: from version 3 a dtype tag follows each
     tensor's shape and the tensor keeps the model's dtype; before it, there is
-    no tag and every tensor is stored as float32."""
+    no tag and every tensor is stored as float32. ``params`` (default: all of
+    ``named_parameters()``) are the (name, tensor) pairs written."""
     blob = json.dumps({"config": asdict(model.cfg)}, sort_keys=True).encode("utf-8")
-    params = model.named_parameters()
+    params = model.named_parameters() if params is None else params
     parts = [b"GS4M", struct.pack("<II", version, len(blob)), blob,
              struct.pack("<I", len(params))]
     for name, p in params:
@@ -313,6 +314,19 @@ class TestCheckpoint:
         raw = path.read_bytes()
         (tmp_path / "bad.gs4m").write_bytes(raw[:-7])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(tmp_path / "bad.gs4m")
+
+    @pytest.mark.parametrize("written, message", [
+        ("first only", "parameter 'encoder.b_in' missing"),
+        ("first twice", "parameter 'encoder.w_in' repeated"),
+    ])
+    def test_every_parameter_set_exactly_once(self, tmp_path, written, message):
+        # a file holding only the first tensor would leave the rest at seed-0 values
+        model = build_model(desk_config(), seed=5)
+        params = model.named_parameters()
+        params = params[:1] if written == "first only" else params[:1] + params
+        (tmp_path / "bad.gs4m").write_bytes(checkpoint_bytes(model, 3, params))
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(tmp_path / "bad.gs4m")
 
     def test_bad_magic_detected(self, tmp_path):
