@@ -25,7 +25,7 @@ def _apply_thread_cap(threads: int | None) -> None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)
     from . import fftconv
     fftconv.FFT_WORKERS = threads
 
@@ -33,7 +33,9 @@ def _apply_thread_cap(threads: int | None) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ssmgraph")
     parser.add_argument("--threads", type=int, default=os.environ.get("GS4_THREADS") or None,
-                        help="cap numeric thread pools (env fallback: GS4_THREADS)")
+                        help="cap numeric thread pools; overrides inherited OMP_NUM_THREADS, "
+                             "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and NUMEXPR_NUM_THREADS "
+                             "(env fallback: GS4_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")
@@ -209,6 +211,8 @@ def cmd_gradcheck(args) -> int:
     from .graphlearn import GslConfig, RegWeights
     from .model import ModelConfig, build_model
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.step) and args.step > 0):
         raise ValueError(f"--step must be finite and > 0, got {args.step}")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import typing
 
 from .data import DatasetSpec, generate, load_bsg1, stratified_split
@@ -84,6 +85,14 @@ class OptimConfig:
             raise ValueError("epochs, batch_size, and patience must be >= 1")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
+        for name in ("lr", "weight_decay"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 DEFAULT_SPLIT = (0.7, 0.15, 0.15)
@@ -129,6 +138,8 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.optim.undersample and self.model.task == "multilabel":
             raise ConfigError("optim.undersample: majority-class undersampling needs "
                               "one class per record, not a multilabel task")

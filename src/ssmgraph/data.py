@@ -109,6 +109,8 @@ class DatasetSpec:
         for name in ("n_sensors", "t_len", "input_dim", "size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.class_balance < 1.0:
             raise ValueError("class_balance must be in (0, 1)")
         if self.kind == "correlation" and self.n_sensors < 3:

@@ -2,12 +2,31 @@
 gradcheck, adjacency export, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ssmgraph.cli import main
 from ssmgraph.data import load_bsg1
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def run_python(code: str, **env_vars) -> str:
+    """Run ``code`` in a fresh interpreter that imports ssmgraph from this
+    checkout, with ``env_vars`` in place of any inherited thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + ("GS4_THREADS",)}
+    env.update(env_vars, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture
@@ -433,6 +452,17 @@ class TestErrors:
         (None, ["model.dropout=1.0"], "model: dropout must be in [0, 1), got 1.0"),
         (None, ["model.dropout=-0.5"], "model: dropout must be in [0, 1), got -0.5"),
         (None, ["data.spec.size=0"], "data.spec: size must be >= 1, got 0"),
+        # gradient ascent that exits 0, or a divergence that exits 3 naming no field
+        (None, ["optim.lr=-1"], "optim: lr must be finite and >= 0, got -1"),
+        (None, ["optim.lr=NaN"], "optim: lr must be finite and >= 0, got nan"),
+        (None, ["optim.weight_decay=-0.01"], "optim: weight_decay must be finite and >= 0"),
+        (None, ["optim.beta1=1.0"], "optim: beta1 must be in [0, 1), got 1.0"),
+        (None, ["optim.beta2=-0.5"], "optim: beta2 must be in [0, 1), got -0.5"),
+        (None, ["optim.eps=0"], "optim: eps must be finite and > 0, got 0"),
+        (None, ["optim.eps=Infinity"], "optim: eps must be finite and > 0, got inf"),
+        # each ended in numpy's bare "expected non-negative integer"
+        (None, ["seed=-3"], "seed must be >= 0, got -3"),
+        (None, ["data.spec.seed=-1"], "data.spec: seed must be >= 0, got -1"),
     ])
     def test_bad_run_config_exit_2(self, tiny_run, capsys, config, overrides, message):
         tmp_path, cfg_path, _ = tiny_run
@@ -457,6 +487,7 @@ class TestErrors:
         (["profile", "--n-sensors", "0"], "--n-sensors"),
         (["eval", "--batch-size", "0"], "--batch-size"),
         (["eval", "--batch-size", "-2"], "--batch-size"),
+        (["gradcheck", "--seed", "-1"], "--seed"),
     ])
     def test_bad_flag_exit_2_before_any_work(self, tmp_path, capsys, argv, flag):
         if argv[0] == "eval":
@@ -468,6 +499,16 @@ class TestErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_negative_seed_flag_exit_2(self, tiny_run, capsys, command):
+        tmp_path, cfg_path, _ = tiny_run
+        out = tmp_path / "o"
+        argv = (["train", "--config", str(cfg_path), "--out", str(out), "--quiet"]
+                if command == "train" else ["gen-data", "--kind", "correlation", "--out", str(out)])
+        assert main(argv + ["--seed", "-2"]) == 2
+        assert "seed must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_directory_path_exit_2(self, tiny_run, capsys):
         tmp_path, _, data_path = tiny_run
@@ -538,8 +579,7 @@ class TestThreads:
 
         monkeypatch.setattr(ssmgraph.fftconv, "FFT_WORKERS", -1)
         monkeypatch.delenv("GS4_THREADS", raising=False)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
+        for var in THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
 
     PROFILE = ["profile", "--d", "8", "--n-sensors", "3", "--t", "16", "--sweep-nd", "1"]
@@ -561,3 +601,39 @@ class TestThreads:
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "0"] + self.PROFILE)
         assert exc.value.code == 2
+
+    def test_flag_overrides_inherited_thread_variables(self):
+        # numpy loads after the cap, so its OpenBLAS sizes its pool from the flag
+        out = run_python(f"""
+import ctypes, glob, os
+from ssmgraph.cli import main
+assert main(["--threads", "1"] + {self.PROFILE!r}) == 0
+import numpy
+print("env", *(os.environ[var] for var in {THREAD_VARS!r}))
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                              "libscipy_openblas*"))
+for lib in libs:
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.restype = ctypes.c_int
+        print("openblas", get())
+""", **{var: "2" for var in THREAD_VARS})
+        (env_line,) = [line for line in out.splitlines() if line.startswith("env ")]
+        assert env_line.split()[1:] == ["1"] * len(THREAD_VARS)
+        probe = [line for line in out.splitlines() if line.startswith("openblas ")]
+        assert probe in ([], ["openblas 1"])  # empty where numpy bundles no OpenBLAS
+
+    def test_train_outputs_independent_of_thread_count(self, tiny_run):
+        tmp_path, cfg_path, _ = tiny_run
+        files = ("config.json", "history.csv", "metrics.json", "checkpoint.gs4m")
+        contents = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            run_python(f"""
+from ssmgraph.cli import main
+assert main(["--threads", "{threads}", "train", "--config", {str(cfg_path)!r},
+             "--out", {str(out)!r}, "--quiet"]) == 0
+""")
+            contents.append([(out / name).read_bytes() for name in files])
+        for name, one, two in zip(files, *contents):
+            assert one == two, name
