@@ -209,10 +209,12 @@ class S4Layer(Module):
 
     Bidirectional mode adds the reverse kernel of a second core, run over the
     time-reversed sequence, so the skip term is ``core.d_skip + core_rev.d_skip``;
-    both directions share the GLU output projection. A timestep ``mask``
-    zeroes padded steps of the normalized signal (``ln_beta`` there, not 0)
-    before the convolution, whose reverse kernel reads later steps. Every
-    other stage acts per step, so no valid step reads a padded output.
+    both directions share the GLU output projection. In bidirectional mode a
+    timestep ``mask`` zeroes padded steps of the normalized signal
+    (``ln_beta`` there, not 0) before the convolution, whose reverse kernel
+    reads later steps. A unidirectional layer's kernel is causal and padding
+    follows a record's end, so it ignores the mask. Every other stage acts
+    per step, so no valid step reads a padded output.
     """
 
     def __init__(self, d_model: int, p_states: int, rng: np.random.Generator,
@@ -235,7 +237,7 @@ class S4Layer(Module):
             raise ShapeError(f"layer width {self.d_model} != input width {x.shape[-1]}")
         length = x.shape[-2]
         z = T.layer_norm_lastdim(x, self.ln_gamma, self.ln_beta)
-        if mask is not None:
+        if mask is not None and self.core_rev is not None:
             z = z * mask
         kernel = materialize_kernel(self.core, length)
         k_rev = None if self.core_rev is None else materialize_kernel(self.core_rev, length)

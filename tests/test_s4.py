@@ -279,15 +279,18 @@ class TestS4Encoder:
             np.testing.assert_allclose(out_masked, out_trunc, atol=1e-10, err_msg=f"bidir={bidir}")
 
     def test_padded_encode_masks_only_the_convolution_inputs(self, rng):
-        layer = partial(S4Layer, 4, 3, bidirectional=True, dropout=0.2)
-        enc = SequenceEncoder(1, 4, 3, layer, np.random.default_rng(0))
         mask = np.arange(12) < np.array([[12], [7]])
-        h = enc.encode(Tensor(rng.normal(size=(2, 3, 12, 1))), mask=mask, train=True, rng=rng)
-        muls = [op for op in Tape.trace(h).ops if op.bwd.__qualname__.startswith("mul.")]
-        assert len(muls) == len(enc.layers)
-        # each multiplies a LayerNorm output by the mask, right before the convolution
-        assert all(op.parents[0]._bwd.__qualname__.startswith("layer_norm_lastdim.")
-                   for op in muls)
+        for bidirectional in (True, False):
+            layer = partial(S4Layer, 4, 3, bidirectional=bidirectional, dropout=0.2)
+            enc = SequenceEncoder(1, 4, 3, layer, np.random.default_rng(0))
+            h = enc.encode(Tensor(rng.normal(size=(2, 3, 12, 1))), mask=mask, train=True,
+                           rng=rng)
+            muls = [op for op in Tape.trace(h).ops if op.bwd.__qualname__.startswith("mul.")]
+            # a causal kernel never carries a padded step to a valid one
+            assert len(muls) == (len(enc.layers) if bidirectional else 0)
+            # each multiplies a LayerNorm output by the mask, right before the convolution
+            assert all(op.parents[0]._bwd.__qualname__.startswith("layer_norm_lastdim.")
+                       for op in muls)
 
     def test_channel_independence_gradient(self, rng):
         # d(out[channel j]) / d(in[channel k]) == 0 for j != k
