@@ -85,13 +85,13 @@ class OptimConfig:
             raise ValueError("epochs, batch_size, and patience must be >= 1")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
-        for name in ("lr", "weight_decay"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
+        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
