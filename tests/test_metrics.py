@@ -213,7 +213,6 @@ class TestReports:
         assert set(rep["per_class"]) == {"0", "1", "2", "3"}
         assert rep["macro_f1"] == np.mean([rep["per_class"][str(c)]["f1"] for c in range(4)])
 
-
     def test_single_label_class_left_out_of_macro_auroc(self, rng):
         scores = rng.uniform(size=(12, 3))
         labels = np.arange(12) % 2  # class 2 never occurs
