@@ -64,7 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="BSG1 dataset path")
     p.add_argument("--out", required=True)
     p.add_argument("--adj-analysis", action="store_true",
-                   help="write class-mean adjacency CSVs and the delta table")
+                   help="write mean_adj_class<c>.csv, the mean learned graph of each "
+                        "class's correctly predicted records, and adjacency_delta.json: "
+                        "per class pair delta_mean, delta_std, p_value, n_permutations")
     p.add_argument("--permutations", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=32)
 
@@ -108,8 +110,26 @@ def _load_checkpoint_and_data(args):
 
     model, extra = load_checkpoint(args.checkpoint)
     dataset = load_bsg1(args.data)
+    if not len(dataset):
+        raise ValueError(f"{args.data}: dataset has no records")
     check_labels(model.cfg, dataset)
     return model, extra, dataset
+
+
+def _checkpoint_thresholds(path, model, extra):
+    """The checkpoint's ``thresholds``: absent (None), or one finite number
+    per sigmoid column (1 binary, C multilabel, 0 multiclass)."""
+    import math
+
+    if "thresholds" not in extra:
+        return None
+    thresholds = extra["thresholds"]
+    expected = 0 if model.cfg.task == "multiclass" else model.cfg.n_classes
+    if not (isinstance(thresholds, list) and len(thresholds) == expected
+            and all(type(t) in (int, float) and math.isfinite(t) for t in thresholds)):
+        raise ValueError(f"{path}: thresholds must be a list of {expected} finite "
+                         f"numbers for a {model.cfg.task} model, got {thresholds!r}")
+    return thresholds
 
 
 def cmd_gen_data(args) -> int:
@@ -174,28 +194,29 @@ def cmd_eval(args) -> int:
 
     from .config import ConfigError
     from .graphlearn import write_adjacency_csv
-    from .metrics import adjacency_delta_table, class_mean_adjacency
+    from .metrics import adjacency_analysis
     from .train import build_report, collect_outputs, predictions_correct, select_thresholds
 
     _require_positive(("--permutations", args.permutations), ("--batch-size", args.batch_size))
     model, extra, dataset = _load_checkpoint_and_data(args)
+    thresholds = _checkpoint_thresholds(args.checkpoint, model, extra)
     if args.adj_analysis and model.cfg.task == "multilabel":
         raise ConfigError("--adj-analysis groups records by a single class index; "
                           "a multilabel checkpoint has none")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = collect_outputs(model, dataset, args.batch_size)
-    thresholds = extra.get("thresholds") or select_thresholds(model, outputs)
+    if thresholds is None:
+        thresholds = select_thresholds(model, outputs)
     report = build_report(model, outputs, thresholds)
     _write_json(out_dir / "metrics.json", report)
 
     if args.adj_analysis:
         correct = predictions_correct(model, outputs, thresholds)
-        means = class_mean_adjacency(outputs.graphs, outputs.labels, correct)
+        means, table = adjacency_analysis(outputs.graphs, outputs.labels, correct,
+                                          args.permutations, seed=0)
         for c, mat in sorted(means.items()):
             write_adjacency_csv(mat, out_dir / f"mean_adj_class{c}.csv")
-        table = adjacency_delta_table(outputs.graphs, outputs.labels, correct,
-                                      args.permutations, seed=0)
         _write_json(out_dir / "adjacency_delta.json", table)
     print(f"wrote metrics to {out_dir / 'metrics.json'}")
     return EXIT_OK

@@ -1,5 +1,7 @@
 """Confusion-derived and ranking metrics, threshold selection, and the
-class-conditional mean-adjacency analysis.
+learned-graph analysis: ``adjacency_analysis`` stacks the correctly
+predicted records' graphs once, takes each class's mean adjacency from that
+stack, and runs every class pair's permutation test on the same stack.
 
 Zero-denominator conventions: precision/recall/F/G scores fall back to 0,
 kappa falls back to 0 when expected agreement is 1. AUROC follows the
@@ -8,6 +10,8 @@ over descending distinct score thresholds (no trapezoids).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -185,17 +189,10 @@ def multilabel_report(scores, labels, thresholds) -> dict:
 # -- adjacency analysis -------------------------------------------------------
 
 
-def class_mean_adjacency(graphs, classes, correct) -> dict:
-    """Per-class mean of all per-interval adjacency matrices over correctly
-    predicted records. Classes with no correct prediction are absent."""
-    out: dict[int, np.ndarray] = {}
-    buckets: dict[int, list] = {}
-    for g, c, ok in zip(graphs, classes, correct):
-        if ok:
-            buckets.setdefault(int(c), []).append(np.asarray(g).reshape(-1, g.shape[-2], g.shape[-1]))
-    for c, mats in buckets.items():
-        out[c] = np.concatenate(mats, axis=0).mean(axis=0)
-    return out
+def _mean_adjacency(stack: np.ndarray, select) -> np.ndarray:
+    """Mean of every per-interval matrix of the selected records of a
+    (k, n_d, N, N) stack: one (k_selected * n_d, N, N) mean over axis 0."""
+    return stack[select].reshape(-1, *stack.shape[-2:]).mean(axis=0)
 
 
 def delta_stats(mean_a: np.ndarray, mean_b: np.ndarray) -> tuple[float, float]:
@@ -205,57 +202,38 @@ def delta_stats(mean_a: np.ndarray, mean_b: np.ndarray) -> tuple[float, float]:
     return float(off.mean()), float(off.std())
 
 
-def delta_permutation_test(graphs, classes, correct, class_a: int, class_b: int,
-                           n_permutations: int, seed: int) -> dict:
-    """Compare the observed between-class delta mean against label shuffles.
+def adjacency_analysis(graphs, classes, correct, n_permutations: int,
+                       seed: int) -> tuple[dict, dict]:
+    """Class-mean adjacency of the correctly predicted records, and the delta
+    table of every pair of classes that has one.
 
-    p-value counts permutations whose delta mean reaches the observed one
-    (add-one smoothed).
+    ``graphs`` holds each record's (n_d, N, N) graphs, with one n_d for all.
+    The means map class -> (N, N); classes with no correct record are absent.
+    The table maps "a-b" to ``delta_mean`` and ``delta_std`` (``delta_stats``
+    of the two means) and a permutation test of ``delta_mean``: each of
+    ``n_permutations`` shuffles of the pair's labels (one ``default_rng(seed)``
+    per pair) counts as a hit when its delta mean reaches the observed one,
+    and ``p_value`` is (hits + 1) / (n_permutations + 1).
     """
-    kept = [(np.asarray(g), int(c)) for g, c, ok in zip(graphs, classes, correct)
-            if ok and int(c) in (class_a, class_b)]
-    if not kept:
-        raise MetricError("no correctly predicted records for the requested classes")
-    mats = [g for g, _ in kept]
-    labels = np.array([c for _, c in kept])
-    if not ((labels == class_a).any() and (labels == class_b).any()):
-        raise MetricError("both classes need at least one correct record")
-    everything = [True] * len(mats)
-
-    def observed_delta(lbls) -> float:
-        means = class_mean_adjacency(mats, lbls, everything)
-        return delta_stats(means[class_a], means[class_b])[0]
-
-    obs = observed_delta(labels)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_permutations):
-        perm = labels.copy()
-        rng.shuffle(perm)
-        if observed_delta(perm) >= obs:
-            hits += 1
-    return {
-        "observed_delta_mean": obs,
-        "p_value": (hits + 1) / (n_permutations + 1),
-        "n_permutations": n_permutations,
-    }
-
-
-def adjacency_delta_table(graphs, classes, correct, n_permutations: int, seed: int) -> dict:
-    """Delta stats and permutation test for every pair of classes that has a
-    correctly predicted record, keyed "a-b". A pair whose test cannot run
-    carries the ``MetricError`` message under "error"."""
-    means = class_mean_adjacency(graphs, classes, correct)
-    present = sorted(means)
+    keep = np.flatnonzero(np.asarray(correct, dtype=bool))
+    if not len(keep):
+        return {}, {}
+    stack = np.stack([graphs[i] for i in keep])
+    labels = np.asarray(classes).astype(int)[keep]
+    means = {int(c): _mean_adjacency(stack, labels == c) for c in np.unique(labels)}
     table = {}
-    for i, a in enumerate(present):
-        for b in present[i + 1:]:
-            d_mean, d_std = delta_stats(means[a], means[b])
-            entry = {"delta_mean": d_mean, "delta_std": d_std}
-            try:
-                entry.update(delta_permutation_test(graphs, classes, correct, a, b,
-                                                    n_permutations=n_permutations, seed=seed))
-            except MetricError as exc:
-                entry["error"] = str(exc)
-            table[f"{a}-{b}"] = entry
-    return table
+    for a, b in itertools.combinations(sorted(means), 2):
+        d_mean, d_std = delta_stats(means[a], means[b])
+        pair = (labels == a) | (labels == b)
+        pair_stack, pair_labels = stack[pair], labels[pair]
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for _ in range(n_permutations):
+            perm = pair_labels.copy()
+            rng.shuffle(perm)
+            hits += delta_stats(_mean_adjacency(pair_stack, perm == a),
+                                _mean_adjacency(pair_stack, perm == b))[0] >= d_mean
+        table[f"{a}-{b}"] = {"delta_mean": d_mean, "delta_std": d_std,
+                             "p_value": (hits + 1) / (n_permutations + 1),
+                             "n_permutations": n_permutations}
+    return means, table

@@ -294,6 +294,10 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     blob_len = struct.unpack("<I", need(4))[0]
     payload = json.loads(need(blob_len).decode("utf-8"))
+    if not (isinstance(payload, dict) and isinstance(payload.get("config"), dict)
+            and isinstance(payload.get("extra", {}), dict)):
+        raise CheckpointError("JSON blob must be an object with a 'config' object "
+                              "and, if present, an 'extra' object")
     from .config import parse_model_config  # config imports this module
     cfg = parse_model_config(payload["config"])
     model = build_model(cfg, seed=0)

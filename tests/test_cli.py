@@ -218,31 +218,12 @@ class TestTrainEval:
                    "--data", str(data_path), "--out", str(eval_dir),
                    "--adj-analysis", "--permutations", "20"])
         assert rc == 0
-        assert (eval_dir / "adjacency_delta.json").exists()
+        table = json.loads((eval_dir / "adjacency_delta.json").read_text())
+        for entry in table.values():
+            assert sorted(entry) == ["delta_mean", "delta_std", "n_permutations", "p_value"]
+            assert entry["n_permutations"] == 20
         csvs = list(eval_dir.glob("mean_adj_class*.csv"))
         assert len(csvs) >= 1
-
-    def test_adj_analysis_records_metric_errors(self, tiny_run, monkeypatch):
-        import ssmgraph.metrics
-        from ssmgraph.metrics import MetricError
-
-        tmp_path, cfg_path, data_path = tiny_run
-        out_dir = tmp_path / "run"
-        main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"])
-
-        def no_correct_records(*args, **kwargs):
-            raise MetricError("both classes need at least one correct record")
-
-        monkeypatch.setattr(ssmgraph.metrics, "delta_permutation_test", no_correct_records)
-        eval_dir = tmp_path / "eval-adj"
-        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
-                   "--data", str(data_path), "--out", str(eval_dir), "--adj-analysis"])
-        assert rc == 0
-        table = json.loads((eval_dir / "adjacency_delta.json").read_text())
-        assert table
-        for entry in table.values():
-            assert entry["error"] == "both classes need at least one correct record"
-            assert "p_value" not in entry
 
     def test_nonpositive_permutations_exit_2(self, tiny_run, capsys):
         tmp_path, cfg_path, data_path = tiny_run
@@ -525,6 +506,86 @@ class TestErrors:
         rc = main(["eval", "--checkpoint", "missing.gs4m", "--data", str(junk),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestCheckpointContents:
+    """A checkpoint blob or dataset that eval and export-adj cannot use exits 2
+    before any output."""
+
+    MODEL = {"n_sensors": 3, "d_model": 4, "s4_depth": 1, "p_states": 2,
+             "gsl": {"r": "full", "knn_k": 1, "heads": 1}}
+
+    @staticmethod
+    def write_data(path, task, n_classes, n_records=6):
+        from ssmgraph.data import Dataset, SignalRecord, save_bsg1
+
+        rng = np.random.default_rng(0)
+        records = [SignalRecord(x=rng.normal(size=(3, 16, 1)),
+                                y=rng.integers(0, 2, n_classes) if task == "multilabel"
+                                else i % max(n_classes, 2),
+                                mask=np.ones(16, dtype=bool), true_length=16,
+                                record_id=f"r{i}") for i in range(n_records)]
+        save_bsg1(Dataset(records=records, task=task, n_classes=max(n_classes, 2)), path)
+
+    def write_checkpoint(self, path, task, n_classes, extra=None, edit=None):
+        """A fresh model's checkpoint; ``edit`` maps its decoded JSON blob to
+        the blob written in its place."""
+        import struct
+
+        from ssmgraph.config import parse_model_config
+        from ssmgraph.model import build_model, save_checkpoint
+
+        cfg = parse_model_config({**self.MODEL, "task": task, "n_classes": n_classes})
+        raw = save_checkpoint(build_model(cfg, seed=0), None, extra=extra)
+        if edit is not None:
+            old_len = struct.unpack("<I", raw[8:12])[0]
+            blob = json.dumps(edit(json.loads(raw[12:12 + old_len]))).encode("utf-8")
+            raw = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + old_len:]
+        path.write_bytes(raw)
+
+    @pytest.mark.parametrize("task, n_classes, thresholds", [
+        ("multilabel", 3, [0.5]),               # IndexError in the report
+        ("multilabel", 3, ["a", "b", "c"]),     # numpy UFuncTypeError
+        ("multilabel", 3, [0.5, float("nan"), 0.5]),
+        ("binary", 1, [0.5, 0.5]),
+        ("binary", 1, "0.5"),
+        ("binary", 1, [True]),
+        ("multiclass", 3, [0.5]),
+    ])
+    def test_bad_thresholds_exit_2(self, tmp_path, capsys, task, n_classes, thresholds):
+        data, ckpt, out = tmp_path / "d.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
+        self.write_data(data, task, n_classes)
+        self.write_checkpoint(ckpt, task, n_classes, extra={"thresholds": thresholds})
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 2
+        expected = 0 if task == "multiclass" else n_classes
+        assert f"thresholds must be a list of {expected} finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "export-adj"])
+    @pytest.mark.parametrize("edit", [
+        lambda payload: {"model": 1},               # KeyError: 'config'
+        lambda payload: [1],                        # TypeError
+        lambda payload: {**payload, "extra": [1]},  # AttributeError in eval
+    ], ids=["no-config", "list", "extra-list"])
+    def test_bad_blob_exit_2(self, tmp_path, capsys, command, edit):
+        data, ckpt, out = tmp_path / "d.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
+        self.write_data(data, "binary", 1)
+        self.write_checkpoint(ckpt, "binary", 1, edit=edit)
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert "JSON blob must be an object with a 'config' object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "export-adj"])
+    def test_empty_dataset_exit_2(self, tmp_path, capsys, command):
+        data, ckpt, out = tmp_path / "empty.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
+        self.write_data(data, "binary", 1, n_records=0)
+        self.write_checkpoint(ckpt, "binary", 1)
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert f"{data}: dataset has no records" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLabelCheck:

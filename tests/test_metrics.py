@@ -1,13 +1,13 @@
 """Metric formulas against brute-force oracles and hand evaluations."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ssmgraph.metrics import (MetricError, auroc_auprc, binary_report,
-                              class_mean_adjacency, cohen_kappa,
-                              confusion_counts, delta_permutation_test,
+from ssmgraph.metrics import (MetricError, adjacency_analysis, auroc_auprc,
+                              binary_report, cohen_kappa, confusion_counts,
                               delta_stats, fbeta_gbeta, multiclass_report,
                               multilabel_report, sensitivity_specificity,
                               threshold_select)
@@ -232,23 +232,65 @@ class TestSensitivitySpecificity:
         assert sens == 0.8 and spec == 0.8
 
 
+def class_means(graphs, classes, correct) -> dict:
+    return adjacency_analysis(graphs, classes, correct, n_permutations=0, seed=0)[0]
+
+
+def class_means_direct(graphs, classes) -> dict:
+    """Each class's mean of its records' per-interval matrices, concatenated
+    record by record in order."""
+    buckets: dict[int, list] = {}
+    for g, c in zip(graphs, classes):
+        buckets.setdefault(int(c), []).append(g.reshape(-1, *g.shape[-2:]))
+    return {c: np.concatenate(mats, axis=0).mean(axis=0) for c, mats in buckets.items()}
+
+
+def adjacency_direct(graphs, classes, correct, n_permutations, seed):
+    """Oracle for ``adjacency_analysis`` from per-record lists: the class
+    means of the correct records, and for each class pair the means rebuilt
+    from that pair's records after every shuffle of their labels."""
+    kept = [(g, int(c)) for g, c, ok in zip(graphs, classes, correct) if ok]
+    means = class_means_direct([g for g, _ in kept], [c for _, c in kept])
+    table = {}
+    for a, b in itertools.combinations(sorted(means), 2):
+        mats = [g for g, c in kept if c in (a, b)]
+        labels = np.array([c for _, c in kept if c in (a, b)])
+
+        def delta(lbls):
+            pair_means = class_means_direct(mats, lbls)
+            return delta_stats(pair_means[a], pair_means[b])[0]
+
+        observed = delta(labels)
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for _ in range(n_permutations):
+            perm = labels.copy()
+            rng.shuffle(perm)
+            hits += delta(perm) >= observed
+        d_mean, d_std = delta_stats(means[a], means[b])
+        table[f"{a}-{b}"] = {"delta_mean": d_mean, "delta_std": d_std,
+                             "p_value": (hits + 1) / (n_permutations + 1),
+                             "n_permutations": n_permutations}
+    return means, table
+
+
 class TestAdjacencyAnalysis:
     def test_identical_graphs_delta_zero(self, rng):
         g = rng.uniform(size=(2, 4, 4))
-        means = class_mean_adjacency([g, g], [0, 1], [True, True])
+        means = class_means([g, g], [0, 1], [True, True])
         d_mean, d_std = delta_stats(means[0], means[1])
         assert d_mean == 0.0 and d_std == 0.0
 
     def test_single_record_mean_is_that_record(self, rng):
         g0 = rng.uniform(size=(3, 4, 4))
         g1 = rng.uniform(size=(3, 4, 4))
-        means = class_mean_adjacency([g0, g1], [0, 1], [True, True])
+        means = class_means([g0, g1], [0, 1], [True, True])
         np.testing.assert_allclose(means[0], g0.mean(axis=0))
         np.testing.assert_allclose(means[1], g1.mean(axis=0))
 
     def test_incorrect_records_excluded_and_absent_class(self, rng):
         g = rng.uniform(size=(1, 3, 3))
-        means = class_mean_adjacency([g, g], [0, 1], [True, False])
+        means = class_means([g, g], [0, 1], [True, False])
         assert 0 in means and 1 not in means
 
     def test_diagonal_excluded_from_delta(self):
@@ -266,17 +308,35 @@ class TestAdjacencyAnalysis:
                 base = base + 0.4
             graphs.append((base + rng.normal(0, 0.01, size=(4, 4)))[None])
             classes.append(i % 2)
-        res = delta_permutation_test(graphs, classes, [True] * 20, 0, 1,
-                                     n_permutations=200, seed=0)
-        assert res["p_value"] < 0.05
+        _, table = adjacency_analysis(graphs, classes, [True] * 20,
+                                      n_permutations=200, seed=0)
+        assert table["0-1"]["p_value"] < 0.05
 
     def test_permutation_test_null_not_significant(self, rng):
         graphs = [rng.uniform(size=(1, 4, 4)) for _ in range(20)]
         classes = [i % 2 for i in range(20)]
-        res = delta_permutation_test(graphs, classes, [True] * 20, 0, 1,
-                                     n_permutations=200, seed=0)
-        assert res["p_value"] > 0.05
+        _, table = adjacency_analysis(graphs, classes, [True] * 20,
+                                      n_permutations=200, seed=0)
+        assert table["0-1"]["p_value"] > 0.05
 
-    def test_no_correct_records_raises(self):
-        with pytest.raises(MetricError):
-            delta_permutation_test([np.ones((1, 2, 2))], [0], [False], 0, 1, 10, 0)
+    def test_no_correct_records_gives_no_means_and_empty_table(self):
+        assert adjacency_analysis([np.ones((1, 2, 2))] * 2, [0, 1], [False, False],
+                                  n_permutations=10, seed=0) == ({}, {})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_record_oracle(self, rng, dtype):
+        # 3 graphs per record, shifted by class; class 3 has one correct
+        # record (so some shuffles leave its pair unchanged, a tie that counts
+        # as a hit) and class 4 none
+        classes = np.r_[rng.integers(0, 3, size=36), 3, 3, 4, 4]
+        graphs = [(rng.uniform(size=(3, 5, 5)) + 0.05 * c).astype(dtype) for c in classes]
+        correct = (rng.uniform(size=40) < 0.8) & (classes != 4)
+        correct[-4:-2] = [True, False]
+        means, table = adjacency_analysis(graphs, classes, correct, n_permutations=50, seed=4)
+        ref_means, ref_table = adjacency_direct(graphs, classes, correct, 50, seed=4)
+        assert sorted(means) == sorted(ref_means) == [0, 1, 2, 3]
+        for c in ref_means:
+            assert means[c].dtype == dtype
+            np.testing.assert_array_equal(means[c], ref_means[c])
+        assert table == ref_table
+        assert {e["p_value"] < 0.05 for e in table.values()} == {True, False}
