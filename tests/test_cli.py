@@ -527,7 +527,7 @@ class TestCheckpointContents:
                                 record_id=f"r{i}") for i in range(n_records)]
         save_bsg1(Dataset(records=records, task=task, n_classes=max(n_classes, 2)), path)
 
-    def write_checkpoint(self, path, task, n_classes, extra=None, edit=None):
+    def write_checkpoint(self, path, task, n_classes, edit=None):
         """A fresh model's checkpoint; ``edit`` maps its decoded JSON blob to
         the blob written in its place."""
         import struct
@@ -536,7 +536,7 @@ class TestCheckpointContents:
         from ssmgraph.model import build_model, save_checkpoint
 
         cfg = parse_model_config({**self.MODEL, "task": task, "n_classes": n_classes})
-        raw = save_checkpoint(build_model(cfg, seed=0), None, extra=extra)
+        raw = save_checkpoint(build_model(cfg, seed=0), None)
         if edit is not None:
             old_len = struct.unpack("<I", raw[8:12])[0]
             blob = json.dumps(edit(json.loads(raw[12:12 + old_len]))).encode("utf-8")
@@ -555,7 +555,8 @@ class TestCheckpointContents:
     def test_bad_thresholds_exit_2(self, tmp_path, capsys, task, n_classes, thresholds):
         data, ckpt, out = tmp_path / "d.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
         self.write_data(data, task, n_classes)
-        self.write_checkpoint(ckpt, task, n_classes, extra={"thresholds": thresholds})
+        self.write_checkpoint(ckpt, task, n_classes,
+                              edit=lambda payload: {**payload, "extra": {"thresholds": thresholds}})
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--out", str(out)]) == 2
         expected = 0 if task == "multiclass" else n_classes
