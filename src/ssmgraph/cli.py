@@ -103,15 +103,17 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _load_checkpoint_and_data(args):
-    """(model, extra, dataset) of ``--checkpoint`` and ``--data``; labels must fit."""
+    """(model, extra, dataset) of ``--checkpoint`` and ``--data``; shapes and
+    labels must fit."""
     from .data import load_bsg1
     from .model import load_checkpoint
-    from .train import check_labels
+    from .train import check_labels, check_shapes
 
     model, extra = load_checkpoint(args.checkpoint)
     dataset = load_bsg1(args.data)
     if not len(dataset):
         raise ValueError(f"{args.data}: dataset has no records")
+    check_shapes(model.cfg, dataset)
     check_labels(model.cfg, dataset)
     return model, extra, dataset
 
@@ -151,17 +153,17 @@ def cmd_train(args) -> int:
 
     from .config import load_run_config
     from .model import build_model, save_checkpoint
-    from .train import build_report, check_labels, collect_outputs, train_loop
+    from .train import build_report, check_labels, check_shapes, collect_outputs, train_loop
 
     merged, run = load_run_config(args.config, args.set, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "config.json", merged)
-
     train_ds, val_ds, test_ds = run.data.load(run.seed)
     for dataset in (train_ds, val_ds, test_ds):
         if dataset is not None:
+            check_shapes(run.model, dataset)
             check_labels(run.model, dataset)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "config.json", merged)
     model = build_model(run.model, run.seed)
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
     started = time.time()

@@ -5,6 +5,13 @@ embeddings feed a self-attention layer whose attention weights become edge
 weights, a cosine-similarity KNN graph is mixed in, weak edges are pruned,
 and the result is symmetrized. Three regularizers (Dirichlet smoothness,
 log-degree connectivity, Frobenius sparsity) shape the learned graphs.
+
+Each graph stage is one pass where the arithmetic allows: the KNN peers are
+k first-occurrence ``argmax`` passes (ties go to the lower index, as in a
+stable sort), the attention ends in one scale-softmax-head-mean tape op, and
+mixing, pruning and symmetrizing are one tape op. The fused ops repeat the
+elementary ops' arithmetic in the same order, with constants in the graph's
+dtype, so graphs and gradients equal the unfused composition bit for bit.
 """
 
 from __future__ import annotations
@@ -106,7 +113,10 @@ def attention_adjacency(h: Tensor, mq: Tensor, mk: Tensor, heads: int = 1) -> Te
     ``mq`` and ``mk`` are (D, D); head ``i`` uses its own column block, so the
     parameter count stays 2*D^2 regardless of the head count. The heads are
     one tensor axis: Q becomes (..., H, N, d_head) and K^T (..., H, d_head, N),
-    so every head's scores come from one batched matmul and one softmax.
+    so every head's scores come from one batched matmul. One op,
+    ``softmax_head_mean``, then scales, softmaxes and averages them; it keeps
+    the arithmetic and order of a divide, softmax, head sum and divide by H,
+    so its values and gradients equal theirs bit for bit.
     """
     d = h.shape[-1]
     if mq.shape != (d, d) or mk.shape != (d, d):
@@ -119,8 +129,7 @@ def attention_adjacency(h: Tensor, mq: Tensor, mk: Tensor, heads: int = 1) -> Te
     lead = tuple(range(n))
     q = (h @ mq).reshape(split).transpose(lead + (n + 1, n, n + 2))
     k_t = (h @ mk).reshape(split).transpose(lead + (n + 1, n + 2, n))
-    attn = T.softmax_lastdim((q @ k_t) / float(np.sqrt(d_head)))  # (..., H, N, N)
-    return attn.sum(axis=-3) / float(heads)
+    return T.softmax_head_mean(q @ k_t, float(np.sqrt(d_head)))
 
 
 def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
@@ -129,6 +138,11 @@ def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
     Entry (i, j) is 1 iff j is among i's top-k most cosine-similar peers
     (self excluded) or vice versa. Ties break toward the lower index;
     zero-norm rows have all similarities defined as 0.
+
+    The k peers are k passes of ``argmax``, each pick then set to -inf. On
+    finite input this picks what a stable descending sort's first k would:
+    ``argmax`` returns the first occurrence of the row maximum, and the rows
+    hold no NaN, so equal similarities go to the lower index.
     """
     h = np.asarray(h, dtype=np.float64)
     n = h.shape[-2]
@@ -139,10 +153,11 @@ def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
     sim = unit @ np.swapaxes(unit, -1, -2)
     idx = np.arange(n)
     sim[..., idx, idx] = -np.inf  # exclude self
-    # stable sort on -sim ranks by descending similarity, lower index first on ties
-    order = np.argsort(-sim, axis=-1, kind="stable")[..., :k]
     w = np.zeros(sim.shape)
-    np.put_along_axis(w, order, 1.0, axis=-1)
+    for _ in range(k):
+        pick = np.argmax(sim, axis=-1, keepdims=True)
+        np.put_along_axis(w, pick, 1.0, axis=-1)
+        np.put_along_axis(sim, pick, -np.inf, axis=-1)
     return np.maximum(w, np.swapaxes(w, -1, -2))
 
 
@@ -151,13 +166,32 @@ def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: 
 
     W = eps*W_knn + (1-eps)*W_bar; entries < kappa are zeroed (and receive no
     gradient); finally W <- (W + W^T)/2. Output entries stay in [0, 1].
+
+    One tape op. It repeats the arithmetic of the elementary ops it stands
+    for (scale, add, prune, add the transpose, halve) in their order, with
+    each constant a 0-d array in ``w_bar``'s dtype as ``_operands`` makes it,
+    so values and gradients equal that composition bit for bit. Its backward
+    rule: g_mixed = (g/2 + (g/2)^T) * keep, then times (1 - eps).
     """
     if w_bar.shape != np.shape(w_knn):
         raise ShapeError(f"shape mismatch: {w_bar.shape} vs {np.shape(w_knn)}")
-    mixed = Tensor(np.asarray(w_knn, dtype=w_bar.dtype) * epsilon) + w_bar * (1.0 - epsilon)
-    pruned = T.prune_below(mixed, kappa)
-    nd = pruned.ndim
-    return (pruned + pruned.transpose((*range(nd - 2), nd - 1, nd - 2))) * 0.5
+    bar_scale = np.asarray(1.0 - epsilon, dtype=w_bar.dtype)
+    half = np.asarray(0.5, dtype=w_bar.dtype)
+    mixed = np.asarray(w_knn, dtype=w_bar.dtype) * epsilon
+    mixed += w_bar.data * bar_scale
+    keep = mixed >= kappa
+    mixed[~keep] = 0.0
+    out_data = mixed + np.swapaxes(mixed, -1, -2)
+    out_data *= half
+
+    def bwd(g):
+        g_half = g * half
+        g_mixed = g_half + np.swapaxes(g_half, -1, -2)
+        g_mixed *= keep
+        g_mixed *= bar_scale
+        w_bar._accum(g_mixed, owned=True)
+
+    return T._record(out_data, (w_bar,), bwd)
 
 
 def _guarded_degree(w: Tensor) -> Tensor:

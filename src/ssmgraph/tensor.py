@@ -518,17 +518,35 @@ def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
 # -- fused numerics -------------------------------------------------------
 
 
-def softmax_lastdim(a) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability.
+def softmax_head_mean(a, divisor: float) -> Tensor:
+    """Mean over axis -3 of the last-axis softmax of ``a / divisor``:
+    (..., H, N, N) -> (..., N, N); each output row is nonnegative and sums to 1.
 
-    Each last-axis slice of the output is nonnegative and sums to 1.
+    One op for a divide, a max-subtracted softmax, a sum over H and a divide
+    by H, with their arithmetic in their order: both constants are 0-d arrays
+    in ``a``'s dtype, as ``_operands`` makes them, and the softmax runs in
+    place on the quotient. Values and gradients therefore equal that
+    four-op composition bit for bit. The backward rule reads the head-mean
+    gradient through a broadcast view instead of copying it per head.
     """
     a = as_tensor(a)
-    out_data = _softmax(a.data)
+    if a.ndim < 3:
+        raise ShapeError(f"softmax_head_mean expects (..., H, N, N), got {a.shape}")
+    scale = np.asarray(divisor, dtype=a.dtype)
+    heads = np.asarray(a.shape[-3], dtype=a.dtype)
+    probs = a.data / scale
+    _softmax(probs, out=probs)
+    out_data = probs.sum(axis=-3)
+    out_data /= heads
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        a._accum(out_data * (g - dot), owned=True)
+        g_head = (g / heads)[..., None, :, :]
+        scratch = g_head * probs
+        dot = scratch.sum(axis=-1, keepdims=True)
+        np.subtract(g_head, dot, out=scratch)
+        scratch *= probs
+        scratch /= scale
+        a._accum(scratch, owned=True)
 
     return _record(out_data, (a,), bwd)
 
@@ -574,10 +592,13 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.reciprocal(out, out=out)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over the last axis of an array."""
-    ex = np.exp(z - z.max(axis=-1, keepdims=True))
-    return ex / ex.sum(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax over the last axis of an array, into ``out``,
+    which may be ``z``."""
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _keep_mask(shape, p: float, rng: np.random.Generator | None, dtype) -> np.ndarray:
@@ -631,18 +652,6 @@ def glu_gate(y, w, b, p: float, rng: np.random.Generator | None, train: bool) ->
             b._accum(gh.sum(axis=0), owned=True)
 
     return _record(out_data.reshape(y.shape[:-1] + (d,)), (y, w, b), bwd)
-
-
-def prune_below(a, threshold: float) -> Tensor:
-    """Zero entries strictly below ``threshold``; pruned entries get no gradient."""
-    a = as_tensor(a)
-    keep = a.data >= threshold
-    out_data = np.where(keep, a.data, 0.0)
-
-    def bwd(g):
-        a._accum(g * keep, owned=True)
-
-    return _record(out_data, (a,), bwd)
 
 
 def dropout(a, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:

@@ -14,6 +14,7 @@ import numpy as np
 from . import tensor as T
 from .config import OptimConfig
 from .data import Dataset, collate, stack_labels, undersample_majority
+from .graphlearn import FULL_INTERVAL
 from .metrics import binary_report, multiclass_report, multilabel_report, threshold_select
 from .model import ModelConfig, SsmGraphModel
 from .optim import AdamW, DivergenceError, cosine_warmup_lr
@@ -89,6 +90,21 @@ def check_labels(cfg: ModelConfig, dataset: Dataset) -> None:
         if not ok:
             raise ValueError(f"record {rec.record_id}: label {rec.y} does not fit a "
                              f"{cfg.task} model with {n_classes} classes")
+
+
+def check_shapes(cfg: ModelConfig, dataset: Dataset) -> None:
+    """Reject a dataset whose signals the model cannot read: a sensor count or
+    input width other than the model's, or a length the interval r does not
+    divide."""
+    for rec in dataset.records:
+        n_sensors, t_len, width = rec.x.shape
+        if (n_sensors, width) != (cfg.n_sensors, cfg.input_dim):
+            raise T.ShapeError(f"record {rec.record_id}: {n_sensors} sensors of input width "
+                               f"{width} do not fit a model of {cfg.n_sensors} sensors of "
+                               f"input width {cfg.input_dim}")
+        if cfg.gsl.r != FULL_INTERVAL and t_len % cfg.gsl.r:
+            raise T.ShapeError(f"record {rec.record_id}: length {t_len} is not divisible "
+                               f"by the model's interval r={cfg.gsl.r}")
 
 
 def validation_metric(task: str, report: dict) -> float:

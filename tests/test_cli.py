@@ -634,6 +634,47 @@ class TestLabelCheck:
         assert "record r3:" in capsys.readouterr().err
 
 
+class TestShapeCheck:
+    """A dataset whose signals do not fit the model exits 2, naming the first
+    record, before any output is written."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-adj"])
+    @pytest.mark.parametrize("model_sensors, data_shape, message", [
+        (3, (4, 16, 1), "4 sensors of input width 1 do not fit a model of 3 sensors"),
+        (4, (3, 16, 1), "3 sensors of input width 1 do not fit a model of 4 sensors"),
+        (3, (3, 16, 2), "3 sensors of input width 2 do not fit a model of 3 sensors"),
+        (3, (3, 12, 1), "length 12 is not divisible by the model's interval r=8"),
+    ], ids=["more-sensors", "fewer-sensors", "input-width", "length"])
+    def test_mismatch_exit_2_before_any_output(self, tmp_path, capsys, command,
+                                               model_sensors, data_shape, message):
+        from ssmgraph.config import parse_model_config
+        from ssmgraph.data import Dataset, SignalRecord, save_bsg1
+        from ssmgraph.model import build_model, save_checkpoint
+
+        rng = np.random.default_rng(0)
+        t_len = data_shape[1]
+        records = [SignalRecord(x=rng.normal(size=data_shape), y=i % 2,
+                                mask=np.ones(t_len, dtype=bool), true_length=t_len,
+                                record_id=f"r{i}") for i in range(4)]
+        data, out = tmp_path / "d.bsg1", tmp_path / "o"
+        save_bsg1(Dataset(records=records, task="binary", n_classes=2), data)
+        model = {"n_sensors": model_sensors, "d_model": 4, "s4_depth": 1, "p_states": 2,
+                 "gsl": {"r": 8, "knn_k": 1, "heads": 1}}
+        if command == "train":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"model": model,
+                                          "optim": {"epochs": 1, "warmup_epochs": 0},
+                                          "data": {"train": str(data), "val": str(data)}}))
+            argv = ["train", "--config", str(config), "--quiet"]
+        else:
+            ckpt = tmp_path / "m.gs4m"
+            save_checkpoint(build_model(parse_model_config(model), seed=0), ckpt)
+            argv = [command, "--checkpoint", str(ckpt), "--data", str(data)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"record r0: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestThreads:
     @pytest.fixture(autouse=True)
     def restore(self, monkeypatch):

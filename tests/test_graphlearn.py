@@ -4,6 +4,7 @@ pruning/symmetrization, and the three regularizers."""
 import numpy as np
 import pytest
 
+from ssmgraph import tensor as T
 from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.graphlearn import (DEG_EPS, GslConfig, GslLayer, RegWeights,
                                  attention_adjacency, degree_loss,
@@ -12,6 +13,40 @@ from ssmgraph.graphlearn import (DEG_EPS, GslConfig, GslLayer, RegWeights,
                                  reg_loss_total, smoothness_loss,
                                  sparsity_loss, write_adjacency_csv)
 from ssmgraph.tensor import ContractError, Tape, Tensor
+
+
+def knn_graph_argsort(h, k):
+    """The KNN graph by a stable sort of every row, as ``knn_graph_cosine``
+    built it before its k argmax passes; kept as its reference."""
+    h = np.asarray(h, dtype=np.float64)
+    n = h.shape[-2]
+    norms = np.linalg.norm(h, axis=-1, keepdims=True)
+    unit = np.divide(h, norms, out=np.zeros_like(h), where=norms > 0)
+    sim = unit @ np.swapaxes(unit, -1, -2)
+    idx = np.arange(n)
+    sim[..., idx, idx] = -np.inf
+    order = np.argsort(-sim, axis=-1, kind="stable")[..., :k]
+    w = np.zeros(sim.shape)
+    np.put_along_axis(w, order, 1.0, axis=-1)
+    return np.maximum(w, np.swapaxes(w, -1, -2))
+
+
+def prune_below_reference(a, threshold):
+    """The pruning op ``finalize_adjacency`` folded in, kept as its reference."""
+    keep = a.data >= threshold
+
+    def bwd(g):
+        a._accum(g * keep, owned=True)
+
+    return T._record(np.where(keep, a.data, 0.0), (a,), bwd)
+
+
+def finalize_reference(w_bar, w_knn, epsilon, kappa):
+    """The elementary ops ``finalize_adjacency`` stands for."""
+    mixed = Tensor(np.asarray(w_knn, dtype=w_bar.dtype) * epsilon) + w_bar * (1.0 - epsilon)
+    pruned = prune_below_reference(mixed, kappa)
+    nd = pruned.ndim
+    return (pruned + pruned.transpose((*range(nd - 2), nd - 1, nd - 2))) * 0.5
 
 
 class TestIntervalMeanPool:
@@ -176,6 +211,34 @@ class TestKnnGraph:
         with pytest.raises(ContractError):
             knn_graph_cosine(rng.normal(size=(3, 2)), 3)
 
+    @staticmethod
+    def tied_and_zero_rows(rng, shape):
+        """Rounded rows (many equal similarities), duplicated rows and zero rows."""
+        h = np.round(rng.normal(size=shape))
+        n = shape[-2]
+        h[..., n // 2:n // 2 + n // 4, :] = h[..., :n // 4, :]
+        h[..., -2:, :] = 0.0
+        return h
+
+    @pytest.mark.parametrize("shape", [(3, 2), (7, 3), (6, 4), (2, 3, 6, 4), (4, 32, 64, 32)])
+    @pytest.mark.parametrize("inputs", ["random", "tied", "float32"])
+    def test_matches_stable_sort(self, rng, shape, inputs):
+        # bit for bit, at every k for small graphs and at graph-dense's k = 2 and 10
+        if inputs == "tied":
+            h = self.tied_and_zero_rows(rng, shape)
+        else:
+            h = rng.normal(size=shape).astype(np.float32 if inputs == "float32" else np.float64)
+        n = shape[-2]
+        for k in (2, 10) if n == 64 else range(1, n):
+            got, want = knn_graph_cosine(h, k), knn_graph_argsort(h, k)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), f"k={k}"
+
+    def test_zero_row_picks_lowest_indices(self, rng):
+        # a zero-norm row has similarity 0 to every peer: all tie, and 0 and 1 win
+        h = self.tied_and_zero_rows(rng, (4, 32, 64, 32))
+        assert np.all(knn_graph_cosine(h, 2)[..., -2, :2] == 1.0)
+
 
 class TestFinalizeAdjacency:
     def test_mixing_value(self):
@@ -205,6 +268,47 @@ class TestFinalizeAdjacency:
         mixed = 0.4 * w_knn + 0.6 * w_bar.data
         sym_mask = (mixed < 0.15) & (np.swapaxes(mixed, -1, -2) < 0.15)
         assert np.all(w.data[sym_mask] == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 3, 6, 6), (4, 32, 64, 64)])
+    def test_matches_unfused_composition(self, rng, dtype, shape):
+        # values and the w_bar gradient equal scale, add, prune, add the
+        # transpose and halve, bit for bit (the last shape is graph-dense's)
+        logits = rng.normal(scale=2.0, size=shape)
+        w_bar_data = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        w_knn = knn_graph_cosine(rng.normal(size=shape[:-1] + (4,)), 2)
+        g = rng.normal(size=shape).astype(dtype)
+        fused_in = Tensor(w_bar_data, requires_grad=True, dtype=dtype)
+        ref_in = Tensor(w_bar_data, requires_grad=True, dtype=dtype)
+        fused = finalize_adjacency(fused_in, w_knn, epsilon=0.6, kappa=0.1)
+        ref = finalize_reference(ref_in, w_knn, epsilon=0.6, kappa=0.1)
+        assert 0.0 < np.mean(ref.data == 0.0) < 1.0  # some entries pruned, some kept
+        fused.backward(g)
+        ref.backward(g)
+        assert fused.dtype == ref.dtype == dtype
+        assert fused.data.tobytes() == ref.data.tobytes()
+        assert fused_in.grad.dtype == dtype
+        assert fused_in.grad.tobytes() == ref_in.grad.tobytes()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4])
+    def test_gradcheck(self, rng, epsilon):
+        # entries kept clear of kappa, where the pruning step has no derivative
+        w_knn = (rng.uniform(size=(2, 5, 5)) > 0.5).astype(float)
+        kappa = 0.3
+        data = rng.uniform(0.0, 1.0, size=(2, 5, 5))
+        mixed = epsilon * w_knn + (1.0 - epsilon) * data
+        data[np.abs(mixed - kappa) < 0.05] += 0.1 / (1.0 - epsilon)
+        mixed = epsilon * w_knn + (1.0 - epsilon) * data
+        assert np.any(mixed < kappa) and np.any(mixed >= kappa)
+        w_bar = Tensor(data, requires_grad=True)
+        weight = Tensor(rng.normal(size=(2, 5, 5)))
+
+        def loss():
+            return (finalize_adjacency(w_bar, w_knn, epsilon, kappa) * weight).sum()
+
+        worst, per = backward_and_gradcheck(loss, {"w_bar": w_bar})
+        assert worst <= 1e-6, per
+        assert np.all(w_bar.grad[mixed < kappa] == 0.0)  # pruned entries pass no gradient
 
 
 class TestRegularizers:
@@ -302,6 +406,13 @@ class TestGslLayer:
         np.testing.assert_allclose(w.data, np.swapaxes(w.data, -1, -2), atol=0)
         assert np.all((w.data == 0.0) | (w.data >= 0.0))
         assert np.all(w.data <= 1.0)
+
+    def test_build_graphs_records_nine_ops(self, rng):
+        # two projections (matmul, reshape, transpose each), the score matmul,
+        # one attention softmax op and one finalize op
+        layer = GslLayer(8, GslConfig(r=4, knn_k=2, epsilon=0.5, kappa=0.1, heads=2), rng)
+        pooled = Tensor(rng.normal(size=(2, 3, 5, 8)), requires_grad=True)
+        assert len(Tape.trace(layer.build_graphs(pooled)).ops) == 9
 
     def test_graph_count(self, rng):
         assert num_intervals(2048, 256) == 8

@@ -134,6 +134,40 @@ class TestPadding:
             np.testing.assert_allclose(out.graphs[i], alone.graphs[0], rtol=0, atol=1e-12)
 
 
+class TestSensorPermutation:
+    """Relabelling the sensors relabels the learned graphs, W -> P W P^T, and
+    leaves the logits unchanged, at initialization and after training."""
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_graphs_permute_and_logits_stay(self, epochs):
+        from ssmgraph.config import OptimConfig
+        from ssmgraph.data import DatasetSpec, generate, stratified_split
+        from ssmgraph.train import train_loop
+
+        cfg = desk_config(n_sensors=5, d_model=8, s4_depth=2,
+                          gsl=GslConfig(r=8, knn_k=2, epsilon=0.3, kappa=0.15, heads=2),
+                          pool=PoolSpec(graph_pool="max", temporal_pool="mean"))
+        assert cfg.dtype == "float64" and cfg.use_gsl and cfg.use_gnn
+        model = build_model(cfg, seed=4)
+        if epochs:
+            data = generate(DatasetSpec(kind="correlation", n_sensors=5, t_len=32, size=16,
+                                        seed=2))
+            train_ds, val_ds = stratified_split(data, [0.75, 0.25], seed=2)
+            train_loop(model, train_ds, val_ds,
+                       OptimConfig(lr=1e-2, epochs=epochs, warmup_epochs=0, batch_size=4),
+                       seed=2)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 5, 32, 1))
+        perm = rng.permutation(5)
+        out = model.forward(x)
+        moved = model.forward(x[:, perm])
+        np.testing.assert_allclose(moved.graphs, out.graphs[..., perm, :][..., perm],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved.logits.data, out.logits.data, rtol=0, atol=1e-12)
+        assert np.any(out.graphs != out.graphs[..., perm, :][..., perm])  # perm moves edges
+        assert np.any(out.graphs == 0.0)  # and kappa prunes some
+
+
 class TestLoss:
     def test_zero_reg_weights_total_is_prediction(self, rng):
         model = build_model(desk_config(reg=RegWeights()), seed=0)

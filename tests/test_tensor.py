@@ -178,44 +178,98 @@ class TestFFTRoundTrip:
         np.testing.assert_allclose(conv1d_fft(col(x), col(impulse)).data[:, 0], x, atol=1e-10)
 
 
+def softmax_lastdim_reference(a: Tensor) -> Tensor:
+    """The last-axis softmax op ``softmax_head_mean`` replaced, kept as its
+    reference: a new array at every step, the gradient through a full-size
+    ``g``."""
+    ex = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out_data = ex / ex.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        a._accum(out_data * (g - dot), owned=True)
+
+    return T._record(out_data, (a,), bwd)
+
+
+def head_mean_reference(a: Tensor, divisor: float) -> Tensor:
+    """The four elementary ops ``softmax_head_mean`` stands for."""
+    return softmax_lastdim_reference(a / divisor).sum(axis=-3) / float(a.shape[-3])
+
+
 class TestSoftmax:
+    """``softmax_head_mean``: the mean over axis -3 of the last-axis softmax
+    of ``a / divisor``."""
+
     def test_uniform_on_zeros(self):
-        out = T.softmax_lastdim(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, np.full(3, 1 / 3), atol=1e-12)
+        out = T.softmax_head_mean(Tensor(np.zeros((2, 3, 3))), 1.0)
+        np.testing.assert_allclose(out.data, np.full((3, 3), 1 / 3), atol=1e-12)
 
     def test_closed_form(self):
-        out = T.softmax_lastdim(Tensor([np.log(2.0), 0.0]))
-        np.testing.assert_allclose(out.data, [2 / 3, 1 / 3], atol=1e-12)
+        # softmax([2 log 2, 0] / 2) = [2/3, 1/3]; the head mean of two equal heads
+        x = np.array([[[2 * np.log(2.0), 0.0]], [[2 * np.log(2.0), 0.0]]])
+        out = T.softmax_head_mean(Tensor(x), 2.0)
+        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_no_overflow_on_huge_logit(self):
-        out = T.softmax_lastdim(Tensor([1000.0, 0.0]))
+        out = T.softmax_head_mean(Tensor([[[1000.0, 0.0]], [[0.0, 1000.0]]]), 1.0)
         assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-12)
 
     def test_rows_sum_to_one_random(self, rng):
         for _ in range(100):
-            x = rng.normal(scale=5.0, size=(4, 6))
-            out = T.softmax_lastdim(Tensor(x))
-            np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-9)
+            x = rng.normal(scale=5.0, size=(2, 3, 4, 6))
+            out = T.softmax_head_mean(Tensor(x), float(rng.uniform(0.5, 3.0)))
+            np.testing.assert_allclose(out.data.sum(axis=-1), np.ones((2, 4)), atol=1e-9)
             assert np.all(out.data >= 0)
 
+    def test_shift_invariant(self, rng):
+        # a constant added to each row cancels in the max-subtracted softmax
+        x = rng.normal(size=(3, 4, 6))
+        shift = rng.normal(scale=50.0, size=(3, 4, 1))
+        a = T.softmax_head_mean(Tensor(x + shift), 1.5).data
+        b = T.softmax_head_mean(Tensor(x), 1.5).data
+        np.testing.assert_allclose(a, b, atol=1e-12)
+
     def test_permutation_equivariant(self, rng):
+        # permuting the last axis permutes the output; permuting heads changes nothing
         for _ in range(20):
-            x = rng.normal(size=8)
+            x = rng.normal(size=(3, 2, 8))
             perm = rng.permutation(8)
-            a = T.softmax_lastdim(Tensor(x[perm])).data
-            b = T.softmax_lastdim(Tensor(x)).data[perm]
+            a = T.softmax_head_mean(Tensor(x[..., perm]), 1.0).data
+            b = T.softmax_head_mean(Tensor(x), 1.0).data[..., perm]
             np.testing.assert_allclose(a, b, atol=1e-12)
+            heads = T.softmax_head_mean(Tensor(x[rng.permutation(3)]), 1.0).data
+            np.testing.assert_allclose(heads, T.softmax_head_mean(Tensor(x), 1.0).data,
+                                       atol=1e-12)
 
     def test_gradcheck(self, rng):
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 5)))
+        x = Tensor(rng.normal(size=(2, 3, 3, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 5)))
 
         def loss():
-            return (T.softmax_lastdim(x) * w).sum()
+            return (T.softmax_head_mean(x, 1.7) * w).sum()
 
         worst, _ = backward_and_gradcheck(loss, {"x": x})
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, divisor", [((3, 5, 5), 1.0), ((2, 3, 4, 6, 6), 2.0),
+                                                ((4, 32, 4, 64, 64), float(np.sqrt(8)))])
+    def test_matches_unfused_composition(self, rng, dtype, shape, divisor):
+        # same values and input gradient, bit for bit, as divide, softmax,
+        # head sum and divide by H (the last shape is graph-dense's attention)
+        x = rng.normal(scale=3.0, size=shape).astype(dtype)
+        g = rng.normal(size=shape[:-3] + shape[-2:]).astype(dtype)
+        fused_in, ref_in = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        fused = T.softmax_head_mean(fused_in, divisor)
+        ref = head_mean_reference(ref_in, divisor)
+        fused.backward(g)
+        ref.backward(g)
+        assert fused.dtype == ref.dtype == dtype
+        assert fused.data.tobytes() == ref.data.tobytes()
+        assert fused_in.grad.dtype == dtype
+        assert fused_in.grad.tobytes() == ref_in.grad.tobytes()
 
 
 class TestGradcheckHarness:
@@ -363,21 +417,6 @@ class TestOpGradients:
             return (T.layer_norm_lastdim(x, gamma, beta) * w).sum()
 
         worst, _ = backward_and_gradcheck(loss, {"x": x, "gamma": gamma, "beta": beta})
-        assert worst <= 1e-6
-
-    def test_prune_below(self, rng):
-        data = rng.uniform(0.0, 1.0, size=(4, 4))
-        data[np.abs(data - 0.5) < 0.05] += 0.1  # keep clear of the threshold
-        x = Tensor(data, requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 4)))
-        out = T.prune_below(x, 0.5)
-        assert np.all(out.data[data < 0.5] == 0.0)
-        np.testing.assert_allclose(out.data[data >= 0.5], data[data >= 0.5])
-
-        def loss():
-            return (T.prune_below(x, 0.5) * w).sum()
-
-        worst, _ = backward_and_gradcheck(loss, {"x": x})
         assert worst <= 1e-6
 
     def test_losses(self, rng):
