@@ -4,8 +4,9 @@ checking, profiling, and adjacency export.
 Exit codes: 0 success, 2 invalid configuration/input (message names the
 field or file), 3 numeric failure (divergence, failed gradient check).
 
-Heavy imports happen after the thread cap is applied, because BLAS/FFT
-thread pools are sized when numpy loads.
+Heavy imports happen after the thread cap is applied, because BLAS sizes
+its thread pool when numpy loads; an OpenBLAS that is already loaded is
+capped through its own setter.
 """
 
 from __future__ import annotations
@@ -26,16 +27,20 @@ def _apply_thread_cap(threads: int | None) -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(threads)
-    from . import fftconv
+    from . import fftconv  # loads numpy, whose OpenBLAS reads the variables if it is new
     fftconv.FFT_WORKERS = threads
+    fftconv.set_blas_threads(threads)  # an OpenBLAS loaded earlier ignores them
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ssmgraph")
     parser.add_argument("--threads", type=int, default=os.environ.get("GS4_THREADS") or None,
-                        help="cap numeric thread pools; overrides inherited OMP_NUM_THREADS, "
-                             "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and NUMEXPR_NUM_THREADS "
-                             "(env fallback: GS4_THREADS)")
+                        help="threads of the S4 block's row pool (default: every CPU this "
+                             "process may run on); inside the pool pocketfft and OpenBLAS run "
+                             "single-threaded, and results do not depend on the count. Also "
+                             "caps OpenBLAS outside the pool, and overrides inherited "
+                             "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and "
+                             "NUMEXPR_NUM_THREADS (env fallback: GS4_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")

@@ -1,77 +1,292 @@
-"""Causal and two-sided 1-D convolution via FFT along axis -2 (time),
-differentiable w.r.t. signal and kernels; complex values never leave it.
+"""The S4 block after its kernels as one tape op over row blocks:
+``x + dropout(glu(conv(LN(x) * mask)))``, time on axis -2.
 
-With zero-padding to n >= 2L-1 every circular correlation is the linear
-one on [0, L): corr(g, w)[s] = irfft(rfft(g) * conj(rfft(w)))[s]. So the
-backward rule reuses the forward spectra, and a reverse-time kernel enters
-the forward product as a conjugate spectrum, in the same transforms.
+The convolution is causal, plus an anti-causal part when a reverse kernel is
+given. With zero-padding to n >= 2L-1 every circular correlation is the
+linear one on [0, L): corr(g, w)[s] = irfft(rfft(g) * conj(rfft(w)))[s]. So
+the backward rule reuses the forward spectra, and a reverse-time kernel
+enters the forward product as a conjugate spectrum, in the same transforms.
+Complex values never leave this module.
+
+Every row of the (rows, L, D) activations, one sensor channel of one record,
+is independent through LayerNorm, the convolution and the GLU. The op runs
+them in fixed blocks of about ``_BLOCK_BYTES``, so a block's working set stays
+in cache, on a pool of ``worker_count()`` threads. The pool is the only
+parallel level: inside it pocketfft runs at ``workers=1`` and numpy's bundled
+OpenBLAS is held at one thread, then restored. The partition depends only on
+shapes, and each block repeats the whole-array arithmetic on its rows, so
+outputs and the input gradient do not depend on the block count. Parameter
+and kernel-spectrum gradients are summed per block and then over blocks in
+block order, whichever thread ran each block, so no result depends on the
+thread count; an activation of one block keeps the whole-array sums exactly.
+
+For backward the op keeps the input, the per-row LN statistics and the
+dropout keep-mask, which is drawn whole, up front; it recomputes the LN
+output, the convolution and the gate per block instead of storing them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy import fft as sfft
 
-from .tensor import Tensor, ShapeError, _record, _unbroadcast, as_tensor
+from . import tensor as T
+from .tensor import ContractError, ShapeError, Tensor, _keep_mask, _record, _sigmoid, as_tensor
 
-# scipy.fft splits work across rows, so results do not depend on the count
+# Threads of the row pool; -1 means every CPU this process may run on.
 FFT_WORKERS = -1
+
+# A block holds as many rows as fit in this many bytes of input, at least one.
+_BLOCK_BYTES = 1 << 20
+_LN_EPS = 1e-5
+
+_scratch = threading.local()
 
 
 def _next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def _kernel_spectrum(g_spec: np.ndarray, x_spec: np.ndarray, shape) -> np.ndarray:
-    """``_unbroadcast(conj(x_spec) * g_spec, shape)`` formed one leading row at
-    a time, never holding conj(x_spec) or the full product. The operand order
-    is the one numpy uses for ``g_spec * np.conj(x_spec)`` on large arrays."""
-    x_spec = np.broadcast_to(x_spec, g_spec.shape)
-    total = None
-    for idx in np.ndindex(g_spec.shape[:g_spec.ndim - len(shape)]):
-        term = np.conj(x_spec[idx]) * g_spec[idx]
-        total = term if total is None else np.add(total, term, out=total)
-    return _unbroadcast(total, shape)
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which
+    ``os.cpu_count()`` ignores, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
-def conv1d_fft(signal, kernel, kernel_rev=None) -> Tensor:
-    """y[t] = sum_{s<=t} kernel[s] x[t-s] + sum_{s<L-t} kernel_rev[s] x[t+s].
+def worker_count() -> int:
+    """``FFT_WORKERS`` as a thread count, -1 resolved by ``_cpus()``."""
+    if FFT_WORKERS == -1:
+        return _cpus()
+    if FFT_WORKERS < 1:
+        raise ContractError(f"FFT_WORKERS must be -1 or >= 1, got {FFT_WORKERS}")
+    return FFT_WORKERS
 
-    Time is axis -2 of every operand, with one length L; the other axes
-    broadcast, and the optional ``kernel_rev`` has ``kernel``'s shape.
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where numpy bundles none."""
+    root = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(root, os.pardir, "numpy.libs", "libscipy_openblas*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+def set_blas_threads(threads: int) -> None:
+    """Cap the loaded OpenBLAS at ``threads``, at most the CPUs this process
+    may run on, as OPENBLAS_NUM_THREADS would at load; a no-op without it."""
+    blas = _openblas()
+    if blas is not None:
+        blas[1](min(threads, _cpus()))
+
+
+@contextlib.contextmanager
+def _blas_single_threaded():
+    """Hold the loaded OpenBLAS at one thread, then restore its count."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The row pool, made on first use, not at import."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="ssmgraph-rows")
+
+
+def _map_blocks(fn, n_blocks: int) -> list:
+    """``[fn(i) for i in range(n_blocks)]``, on the row pool when it has more
+    than one thread and there is more than one block."""
+    workers = worker_count()
+    if workers == 1 or n_blocks == 1:
+        return [fn(i) for i in range(n_blocks)]
+    with _blas_single_threaded():
+        return list(_pool(workers).map(fn, range(n_blocks)))
+
+
+def _padded(rows: int, length: int, n: int, d: int, dtype) -> np.ndarray:
+    """This thread's zero-filled (rows, n, d) buffer for signals of ``length``
+    steps. Callers write steps [:length] only, so steps [length:n] stay zero
+    and pocketfft transforms the buffer without padding a copy of its own."""
+    key = (length, n, d, np.dtype(dtype))
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.shape[0] < rows or _scratch.key != key:
+        buf = _scratch.buf = np.zeros((rows, n, d), dtype)
+        _scratch.key = key
+    return buf[:rows]
+
+
+def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0.0,
+               rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
+    """``x + dropout(glu(conv(LN(x) * mask)))`` for x (..., L, D) as one op.
+
+    LN normalizes the last axis with ``gamma`` and ``beta`` (D,). The
+    convolution is y[t] = sum_{s<=t} kernel[s] z[t-s] + sum_{s<L-t}
+    kernel_rev[s] z[t+s], kernels (L, D), ``kernel_rev`` optional. ``mask``,
+    broadcastable to (..., L, 1), zeroes steps of the LN output before it.
+    With (left, gate) the halves of y @ w + b, w (D, 2D), the GLU gives
+    left * sigmoid(gate), its units dropped at rate p when training.
     """
-    x, k = as_tensor(signal), as_tensor(kernel)
+    x, k = as_tensor(x), as_tensor(kernel)
     r = None if kernel_rev is None else as_tensor(kernel_rev)
-    kernels = (k,) if r is None else (k, r)
-    if x.ndim < 2 or k.ndim < 2:
-        raise ShapeError("conv1d_fft operands need time on axis -2 and channels on -1")
-    length = x.shape[-2]
-    if k.shape[-2] != length:
-        raise ShapeError(f"length mismatch: signal L={length}, kernel L={k.shape[-2]}")
-    if r is not None and r.shape != k.shape:
-        raise ShapeError(f"kernel_rev shape {r.shape} != kernel shape {k.shape}")
+    gamma, beta, w, b = (as_tensor(t) for t in (gamma, beta, w, b))
+    if x.ndim < 2:
+        raise ShapeError("conv1d_fft needs time on axis -2 and channels on -1")
+    length, d = x.shape[-2:]
+    if k.shape != (length, d) or (r is not None and r.shape != k.shape):
+        raise ShapeError(f"kernels must be (L, D) = {(length, d)}, got {k.shape}"
+                         + ("" if r is None else f" and {r.shape}"))
+    if gamma.shape != (d,) or beta.shape != (d,) or w.shape != (d, 2 * d) or b.shape != (2 * d,):
+        raise ShapeError(f"conv1d_fft needs gamma, beta ({d},), w ({d}, {2 * d}) and b "
+                         f"({2 * d},), got {gamma.shape}, {beta.shape}, {w.shape}, {b.shape}")
+    rows = x.size // (length * d)
+    xr = x.data.reshape(rows, length, d)
+    mr = None if mask is None else np.broadcast_to(
+        as_tensor(mask).data, x.shape[:-1] + (1,)).reshape(rows, length, 1)
+    dtype = np.result_type(x.dtype, w.dtype, b.dtype)
+    keep = scale = None
+    if train and p > 0.0:
+        keep = _keep_mask((rows, length, d), p, rng, dtype)
+        scale = 1.0 / (1.0 - p)
     n = _next_pow2(2 * length - 1)
-    x_spec = sfft.rfft(x.data, n=n, axis=-2, workers=FFT_WORKERS)
-    spec = sfft.rfft(k.data, n=n, axis=-2, workers=FFT_WORKERS)
+    rfft, irfft = sfft.rfft, sfft.irfft  # looked up here, on the caller's thread
+    spec = rfft(k.data, n=n, axis=-2, workers=worker_count())
     if r is not None:
-        spec += np.conj(sfft.rfft(r.data, n=n, axis=-2, workers=FFT_WORKERS))
+        spec += np.conj(rfft(r.data, n=n, axis=-2, workers=worker_count()))
+    per = max(1, _BLOCK_BYTES // (length * d * x.data.itemsize))
+    blocks = [slice(i, min(i + per, rows)) for i in range(0, rows, per)]
+    out = np.empty(xr.shape, dtype)
+    mu = np.empty((rows, length, 1), x.dtype)
+    inv = np.empty_like(mu)
 
-    def inverse(prod, dtype=None):
-        return np.ascontiguousarray(
-            sfft.irfft(prod, n=n, axis=-2, workers=FFT_WORKERS)[..., :length, :], dtype=dtype)
+    def forward(i):
+        rs = blocks[i]
+        xb = xr[rs]
+        mu[rs] = xb.mean(axis=-1, keepdims=True)
+        xhat = xb - mu[rs]
+        var = (xhat * xhat).mean(axis=-1, keepdims=True)
+        inv[rs] = 1.0 / np.sqrt(var + _LN_EPS)
+        xhat *= inv[rs]
+        zbuf = _padded(len(xb), length, n, d, x.dtype)
+        z = zbuf[:, :length]
+        np.multiply(xhat, gamma.data, out=z)
+        z += beta.data
+        if mr is not None:
+            z *= mr[rs]
+        z_spec = rfft(zbuf, n=n, axis=-2, workers=1)
+        y = np.ascontiguousarray(irfft(z_spec * spec, n=n, axis=-2, workers=1)[:, :length],
+                                 dtype=x.dtype).reshape(-1, d)
+        h = y @ w.data
+        h += b.data
+        _sigmoid(h[:, d:], out=h[:, d:])
+        glu = h[:, :d] * h[:, d:]
+        if keep is not None:
+            glu *= scale
+            glu *= keep[rs].reshape(-1, d)
+        np.add(xb, glu.reshape(xb.shape), out=out[rs])
+        if taped:
+            saved[i] = z_spec, y, h
 
-    out_data = inverse(x_spec * spec, x.dtype)
+    kernels = (k,) if r is None else (k, r)
+    parents = (x,) + kernels + (gamma, beta, w, b)
+    taped = T.GRAD_ENABLED and any(t.requires_grad for t in parents)
+    saved = [None] * len(blocks)
+    _map_blocks(forward, len(blocks))
 
     def bwd(g):
-        g_spec = sfft.rfft(g, n=n, axis=-2, workers=FFT_WORKERS)
-        if any(w.requires_grad for w in kernels):
-            prod = _kernel_spectrum(g_spec, x_spec, spec.shape)
+        g = g.reshape(rows, length, d)
+        want_k = any(t.requires_grad for t in kernels)
+        gx_all = np.empty_like(xr) if x.requires_grad else None
+
+        def backward(i):
+            rs = blocks[i]
+            z_spec, y, h = saved[i]
+            xhat = xr[rs] - mu[rs]
+            xhat *= inv[rs]
+            left, gate = h[:, :d], h[:, d:]
+            gh = np.empty_like(h)
+            g_left, g_gate = gh[:, :d], gh[:, d:]
+            g_units = g[rs].reshape(-1, d)
+            if keep is not None:  # g_gate is scratch until g_left is formed
+                g_units = np.multiply(g_units, keep[rs].reshape(-1, d), out=g_gate)
+                g_units *= scale
+            np.multiply(g_units, gate, out=g_left)
+            np.subtract(1.0, gate, out=g_gate)
+            g_gate *= g_left
+            g_gate *= left
+            parts = {"w": y.T @ gh, "b": gh.sum(axis=0)}
+            gbuf = _padded(len(xhat), length, n, d, x.dtype)
+            gbuf[:, :length] = (gh @ w.data.T).reshape(xhat.shape)
+            g_spec = rfft(gbuf, n=n, axis=-2, workers=1)
+            if want_k:
+                total = None
+                for j in range(len(z_spec)):  # one row at a time, never all of conj(z_spec)
+                    term = np.conj(z_spec[j]) * g_spec[j]
+                    total = term if total is None else np.add(total, term, out=total)
+                parts["spec"] = total
+            g_spec *= np.conj(spec)
+            gz = np.ascontiguousarray(irfft(g_spec, n=n, axis=-2, workers=1)[:, :length],
+                                      dtype=x.dtype)
+            if mr is not None:
+                gz *= mr[rs]
+            scratch = gz * xhat
+            parts["gamma"] = scratch.reshape(-1, d).sum(axis=0)
+            parts["beta"] = gz.reshape(-1, d).sum(axis=0)
+            if gx_all is not None:
+                gx = gz * gamma.data
+                mean_gx_xhat = np.multiply(gx, xhat, out=scratch).mean(axis=-1, keepdims=True)
+                gx -= gx.mean(axis=-1, keepdims=True)
+                gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
+                gx *= inv[rs]
+                np.add(g[rs], gx, out=gx_all[rs])
+            return parts
+
+        parts = _map_blocks(backward, len(blocks))
+
+        def summed(name):  # in block order, whichever thread ran each block
+            return functools.reduce(np.add, [part[name] for part in parts])
+
+        for name, param in (("w", w), ("b", b), ("gamma", gamma), ("beta", beta)):
+            if param.requires_grad:
+                param._accum(summed(name), owned=True)
+        if want_k:
+            prod = summed("spec")
+
+            def inverse(spectrum):
+                return np.ascontiguousarray(
+                    irfft(spectrum, n=n, axis=-2, workers=worker_count())[:length])
+
             if k.requires_grad:
                 k._accum(inverse(prod), owned=True)
             if r is not None and r.requires_grad:
                 r._accum(inverse(np.conj(prod, out=prod)), owned=True)
-        if x.requires_grad:
-            g_spec *= np.conj(spec)
-            x._accum(_unbroadcast(inverse(g_spec), x.shape), owned=True)
+        if gx_all is not None:
+            x._accum(gx_all.reshape(x.shape), owned=True)
 
-    return _record(out_data, (x,) + kernels, bwd)
+    return _record(out.reshape(x.shape), parents, bwd)

@@ -25,17 +25,18 @@ over the reversed sequence: an anti-causal kernel that enters the same FFT
 convolution as a conjugate spectrum, its skip term the sum of both cores'
 D. Complex numbers appear only inside numpy; every tensor here is real.
 
-The block's GLU projection, gate and dropout are one op, ``tensor.glu_gate``,
-so dropout acts on the gated output, before the residual add.
+After its kernel ops, the block is one op, ``fftconv.conv1d_fft``: LayerNorm,
+the FFT convolution, the GLU projection and gate, dropout on the gated
+output, and the residual add. It runs in fixed row blocks on a thread pool,
+with the same values as the whole-array arithmetic (see ``fftconv``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
 from .fftconv import conv1d_fft
-from .tensor import ContractError, Module, ShapeError, Tensor, _record
+from .tensor import ContractError, Module, NumericError, ShapeError, Tensor, _record
 
 
 DT_MIN_DEFAULT = 1e-3
@@ -67,7 +68,7 @@ class SsmCore(Module):
         a_bar, _ = discretize_bilinear(self)
         worst = np.abs(a_bar).max()
         if worst >= 1.0:
-            raise T.NumericError(f"unstable core: max |a_bar| = {worst:.6f}")
+            raise NumericError(f"unstable core: max |a_bar| = {worst:.6f}")
 
 
 def _bilinear(core: SsmCore):
@@ -204,8 +205,9 @@ def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
 class S4Layer(Module):
     """Pre-norm S4 block: LN -> SSM conv (+skip) -> GLU gate -> dropout -> residual.
 
-    ``tensor.glu_gate`` applies ``w_glu``/``b_glu``, the gate and, when
-    ``train`` is set, dropout, before the residual add.
+    ``forward`` records the kernel op(s) and one ``fftconv.conv1d_fft`` op,
+    which applies ``ln_gamma``/``ln_beta``, the convolution, ``w_glu``/``b_glu``,
+    the gate and, when ``train`` is set, dropout, before the residual add.
 
     Bidirectional mode adds the reverse kernel of a second core, run over the
     time-reversed sequence, so the skip term is ``core.d_skip + core_rev.d_skip``;
@@ -236,10 +238,7 @@ class S4Layer(Module):
         if x.shape[-1] != self.d_model:
             raise ShapeError(f"layer width {self.d_model} != input width {x.shape[-1]}")
         length = x.shape[-2]
-        z = T.layer_norm_lastdim(x, self.ln_gamma, self.ln_beta)
-        if mask is not None and self.core_rev is not None:
-            z = z * mask
         kernel = materialize_kernel(self.core, length)
         k_rev = None if self.core_rev is None else materialize_kernel(self.core_rev, length)
-        y = conv1d_fft(z, kernel, k_rev)
-        return x + T.glu_gate(y, self.w_glu, self.b_glu, self.dropout, rng, train)
+        return conv1d_fft(x, kernel, k_rev, self.ln_gamma, self.ln_beta, self.w_glu, self.b_glu,
+                          None if k_rev is None else mask, self.dropout, rng, train)

@@ -551,37 +551,6 @@ def softmax_head_mean(a, divisor: float) -> Tensor:
     return _record(out_data, (a,), bwd)
 
 
-def layer_norm_lastdim(a, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale/shift by gamma/beta."""
-    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    d = a.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError("layer_norm gamma/beta must match the last axis")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xhat = a.data - mu
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    out_data = xhat * gamma.data
-    out_data += beta.data
-
-    def bwd(g):
-        scratch = g * xhat
-        if gamma.requires_grad:
-            gamma._accum(scratch.reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            beta._accum(g.reshape(-1, d).sum(axis=0))
-        if a.requires_grad:
-            gx = g * gamma.data
-            mean_gx_xhat = np.multiply(gx, xhat, out=scratch).mean(axis=-1, keepdims=True)
-            gx -= gx.mean(axis=-1, keepdims=True)
-            gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
-            gx *= inv
-            a._accum(gx, owned=True)
-
-    return _record(out_data, (a, gamma, beta), bwd)
-
-
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-z)) into ``out``, which may be ``z``; where exp(-z)
     overflows to inf the result is exactly 0."""
@@ -606,52 +575,6 @@ def _keep_mask(shape, p: float, rng: np.random.Generator | None, dtype) -> np.nd
     if rng is None:
         raise ContractError("dropout in training mode requires an RNG")
     return rng.random(shape, dtype=dtype) >= p
-
-
-def glu_gate(y, w, b, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Projection, gated linear unit and inverted dropout as one op: with
-    (left, gate) the halves of h = y @ w + b, the output is
-    left * sigmoid(gate), its units dropped at rate p when training. The
-    backward rule takes all three gradients from one buffer shaped like h.
-    """
-    y, w, b = as_tensor(y), as_tensor(w), as_tensor(b)
-    if (w.ndim != 2 or w.shape[1] % 2 or y.shape[-1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ShapeError(f"glu_gate needs (..., k) @ (k, 2d) + (2d,), got "
-                         f"{y.shape} @ {w.shape} + {b.shape}")
-    d = w.shape[1] // 2
-    rows = y.data.reshape(-1, w.shape[0])
-    h = rows @ w.data
-    h += b.data
-    left, gate = h[:, :d], h[:, d:]
-    _sigmoid(gate, out=gate)
-    out_data = left * gate
-    keep = None
-    if train and p > 0.0:
-        keep = _keep_mask(out_data.shape, p, rng, out_data.dtype)
-        scale = 1.0 / (1.0 - p)
-        out_data *= scale
-        out_data *= keep
-
-    def bwd(g):
-        gh = np.empty_like(h)
-        g_left, g_gate = gh[:, :d], gh[:, d:]
-        g = g.reshape(-1, d)
-        if keep is not None:
-            g = np.multiply(g, keep, out=g_gate)  # scratch until g_left is formed
-            g *= scale
-        np.multiply(g, gate, out=g_left)
-        np.subtract(1.0, gate, out=g_gate)
-        g_gate *= g_left
-        g_gate *= left
-        if y.requires_grad:
-            y._accum((gh @ w.data.T).reshape(y.shape), owned=True)
-        if w.requires_grad:
-            w._accum(rows.T @ gh, owned=True)
-        if b.requires_grad:
-            b._accum(gh.sum(axis=0), owned=True)
-
-    return _record(out_data.reshape(y.shape[:-1] + (d,)), (y, w, b), bwd)
 
 
 def dropout(a, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:

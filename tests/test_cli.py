@@ -684,6 +684,11 @@ class TestThreads:
         monkeypatch.delenv("GS4_THREADS", raising=False)
         for var in THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
+        blas = ssmgraph.fftconv._openblas()  # an in-process --threads caps this process
+        before = None if blas is None else blas[0]()
+        yield
+        if blas is not None:
+            blas[1](before)
 
     PROFILE = ["profile", "--d", "8", "--n-sensors", "3", "--t", "16", "--sweep-nd", "1"]
 
@@ -725,6 +730,22 @@ for lib in libs:
         assert env_line.split()[1:] == ["1"] * len(THREAD_VARS)
         probe = [line for line in out.splitlines() if line.startswith("openblas ")]
         assert probe in ([], ["openblas 1"])  # empty where numpy bundles no OpenBLAS
+
+    def test_flag_caps_openblas_loaded_before(self):
+        # numpy loads first, sizing its OpenBLAS from the inherited variables
+        out = run_python(f"""
+import numpy
+from ssmgraph import fftconv
+from ssmgraph.cli import main
+blas = fftconv._openblas()
+print("before", blas and blas[0]())
+assert main(["--threads", "1"] + {self.PROFILE!r}) == 0
+print("after", blas and blas[0]())
+""", **{var: "2" for var in THREAD_VARS})
+        probe = dict(line.split() for line in out.splitlines()
+                     if line.startswith(("before ", "after ")))
+        # "None" where numpy bundles no OpenBLAS
+        assert probe["after"] in ("None", "1"), probe
 
     def test_train_outputs_independent_of_thread_count(self, tiny_run):
         tmp_path, cfg_path, _ = tiny_run

@@ -1,93 +1,112 @@
-"""Tensor engine: op-level gradient checks, FFT convolution vs the direct
-oracle, softmax properties, the Module parameter walk, and the allocator
-policy set at import."""
+"""Tensor engine: op-level gradient checks, the fused S4 block op (its FFT
+convolution vs the direct oracle, its LayerNorm and GLU, its row blocks and
+thread pool), softmax properties, the Module parameter walk, and the
+allocator policy set at import."""
 
 import ctypes
 import functools
 import importlib
+import os
 import platform
+import sys
+import threading
 import types
 
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from conftest import conv_direct
+from conftest import (block_direct, block_params, block_reference, conv_direct, conv_reference,
+                      glu_reference, layer_norm_reference)
+from ssmgraph import fftconv
 from ssmgraph import tensor as T
-from ssmgraph.fftconv import FFT_WORKERS, _next_pow2, conv1d_fft
+from ssmgraph.fftconv import _next_pow2, conv1d_fft, worker_count
 from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.tensor import ContractError, NumericError, ShapeError, Tape, Tensor, _unbroadcast
 
 
-def col(values) -> Tensor:
-    """A 1-D sequence as one channel: time on axis -2."""
-    return Tensor(np.asarray(values, dtype=float)[:, None])
+def block(x, k, k_rev=None, params=None, mask=None, p=0.0, rng=None, train=False):
+    """``conv1d_fft`` with the LayerNorm and GLU parameters in ``params``."""
+    return conv1d_fft(x, k, k_rev, params["gamma"], params["beta"], params["w"], params["b"],
+                      mask, p, rng, train)
 
 
-def two_sided_direct(x: np.ndarray, k: np.ndarray, k_rev: np.ndarray) -> np.ndarray:
-    """O(L^2) oracle, time on axis -2: a causal sum over k plus an
-    anti-causal sum over k_rev, y[t] += k_rev[s] * x[t+s]."""
-    length = x.shape[-2]
-    out = np.zeros(np.broadcast_shapes(x.shape, k.shape))
-    for t in range(length):
-        for s in range(t + 1):
-            out[..., t, :] += k[..., s, :] * x[..., t - s, :]
-        for s in range(length - t):
-            out[..., t, :] += k_rev[..., s, :] * x[..., t + s, :]
-    return out
+def block_without_conv(x: np.ndarray, params) -> np.ndarray:
+    """x + glu(LN(x)): the block with the convolution left out."""
+    impulse = np.zeros((1, x.shape[-1]))
+    impulse[0] = 1.0
+    return np.concatenate([block_direct(x[..., t:t + 1, :], impulse, None, params)
+                           for t in range(x.shape[-2])], axis=-2)
 
 
 class TestConv1dFFT:
-    def test_identity_kernel(self):
-        out = conv1d_fft(col([1.0, 0.0, 0.0, 0.0]), col([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    """The block's convolution against the direct O(L^2) sum; LayerNorm and
+    GLU around it come from the float64 oracle ``block_direct``."""
 
-    def test_ones_ramp(self):
+    D = 3
+
+    def test_identity_kernel(self, rng):
+        x = rng.normal(size=(4, self.D))
+        impulse = np.zeros((4, self.D))
+        impulse[0] = 1.0
+        params = block_params(rng, self.D)
+        out = block(Tensor(x), Tensor(impulse), params=params)
+        # an impulse passes the LayerNorm output through unchanged
+        np.testing.assert_allclose(out.data, block_without_conv(x, params), atol=1e-12)
+
+    def test_ones_ramp(self, rng):
         # direct oracle: [1,1,1] * [1,1,1] -> [1,2,3]
         expected = conv_direct(np.ones(3), np.ones(3))
         np.testing.assert_allclose(expected, [1.0, 2.0, 3.0])
-        out = conv1d_fft(col([1.0, 1.0, 1.0]), col([1.0, 1.0, 1.0]))
-        np.testing.assert_allclose(out.data[:, 0], expected, atol=1e-12)
+        x = rng.normal(size=(3, self.D))
+        params = block_params(rng, self.D)
+        out = block(Tensor(x), Tensor(np.ones((3, self.D))), params=params)
+        np.testing.assert_allclose(out.data, block_direct(x, np.ones((3, self.D)), None, params),
+                                   atol=1e-12)
 
     def test_random_l64_matches_direct(self, rng):
-        x = rng.normal(size=64)
-        k = rng.normal(size=64)
-        out = conv1d_fft(col(x), col(k))
-        np.testing.assert_allclose(out.data[:, 0], conv_direct(x, k), atol=1e-10)
+        x = rng.normal(size=(64, self.D))
+        k = rng.normal(size=(64, self.D))
+        params = block_params(rng, self.D)
+        out = block(Tensor(x), Tensor(k), params=params)
+        np.testing.assert_allclose(out.data, block_direct(x, k, None, params), atol=1e-10)
 
     def test_matches_direct_many_lengths(self, rng):
         # randomized equivalence across lengths <= 128
+        params = block_params(rng, self.D)
         for _ in range(100):
             length = int(rng.integers(1, 129))
-            x = rng.normal(size=length)
-            k = rng.normal(size=length)
-            out = conv1d_fft(col(x), col(k))
-            np.testing.assert_allclose(out.data[:, 0], conv_direct(x, k), atol=1e-9)
+            x = rng.normal(size=(length, self.D))
+            k = rng.normal(size=(length, self.D))
+            out = block(Tensor(x), Tensor(k), params=params)
+            np.testing.assert_allclose(out.data, block_direct(x, k, None, params), atol=1e-9)
 
     def test_batched_broadcast(self, rng):
-        x = rng.normal(size=(2, 3, 17))
-        k = rng.normal(size=(3, 17))
-        out = conv1d_fft(Tensor(np.swapaxes(x, -1, -2)), Tensor(k.T))
+        # one (L, D) kernel for every row of a batch
+        x = rng.normal(size=(2, 17, 3))
+        k = rng.normal(size=(17, 3))
+        params = block_params(rng, 3)
+        out = block(Tensor(x), Tensor(k), params=params)
         assert out.shape == (2, 17, 3)
         for b in range(2):
-            for c in range(3):
-                np.testing.assert_allclose(out.data[b, :, c], conv_direct(x[b, c], k[c]),
-                                           atol=1e-10)
+            np.testing.assert_allclose(out.data[b], block_direct(x[b], k, None, params),
+                                       atol=1e-10)
 
-    def test_length_mismatch(self):
+    def test_length_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            conv1d_fft(col([1.0, 2.0]), col([1.0, 2.0, 3.0]))
+            block(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), params=block_params(rng, 3))
 
     def test_gradcheck_both_inputs(self, rng):
-        x = Tensor(rng.normal(size=(9, 1)), requires_grad=True)
-        k = Tensor(rng.normal(size=(9, 1)), requires_grad=True)
-        w = Tensor(rng.normal(size=(9, 1)))
+        x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        k = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(9, 3)))
+        params = block_params(rng, 3)
 
         def loss():
-            return (conv1d_fft(x, k) * w).sum()
+            return (block(x, k, params=params) * w).sum()
 
-        worst, _ = backward_and_gradcheck(loss, {"x": x, "k": k})
-        assert worst <= 1e-6
+        worst, per = backward_and_gradcheck(loss, {"x": x, "k": k, **params})
+        assert worst <= 1e-6, per
 
 
 class TestTwoSidedConv:
@@ -98,43 +117,46 @@ class TestTwoSidedConv:
         x = rng.normal(size=(2, length, 3))
         k = rng.normal(size=(length, 3))
         k_rev = rng.normal(size=(length, 3))
-        out = conv1d_fft(Tensor(x), Tensor(k), Tensor(k_rev))
+        params = block_params(rng, 3)
+        out = block(Tensor(x), Tensor(k), Tensor(k_rev), params)
         assert out.shape == (2, length, 3)
-        np.testing.assert_allclose(out.data, two_sided_direct(x, k, k_rev), atol=1e-10)
+        np.testing.assert_allclose(out.data, block_direct(x, k, k_rev, params), atol=1e-10)
 
     def test_broadcast_batch_axis(self, rng):
-        # a size-1 batch axis on the kernels broadcasts against the signal
+        # every leading axis is a batch axis that shares the kernels
         x = rng.normal(size=(3, 2, 11, 4))
-        k = rng.normal(size=(1, 11, 4))
-        k_rev = rng.normal(size=(1, 11, 4))
-        out = conv1d_fft(Tensor(x), Tensor(k), Tensor(k_rev))
+        k = rng.normal(size=(11, 4))
+        k_rev = rng.normal(size=(11, 4))
+        params = block_params(rng, 4)
+        out = block(Tensor(x), Tensor(k), Tensor(k_rev), params)
         assert out.shape == (3, 2, 11, 4)
-        np.testing.assert_allclose(out.data, two_sided_direct(x, k, k_rev), atol=1e-10)
+        np.testing.assert_allclose(out.data, block_direct(x, k, k_rev, params), atol=1e-10)
 
     def test_gradcheck_signal_and_both_kernels(self, rng):
-        x = Tensor(rng.normal(size=(2, 9, 2)), requires_grad=True)
-        k = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
-        k_rev = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 9, 2)))
+        x = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
+        k = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        k_rev = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 9, 3)))
+        params = block_params(rng, 3)
 
         def loss():
-            return (conv1d_fft(x, k, k_rev) * w).sum()
+            return (block(x, k, k_rev, params) * w).sum()
 
-        worst, per = backward_and_gradcheck(loss, {"x": x, "k": k, "k_rev": k_rev})
+        worst, per = backward_and_gradcheck(loss, {"x": x, "k": k, "k_rev": k_rev, **params})
         assert worst <= 1e-6, per
 
     @pytest.mark.parametrize("shapes", [((5,), (5, 1), None), ((5, 1), (5,), None),
                                         ((5, 1), (5, 1), (5,))])
-    def test_operand_below_2d(self, shapes):
+    def test_operand_below_2d(self, rng, shapes):
         x, k, k_rev = (None if s is None else Tensor(np.ones(s)) for s in shapes)
         with pytest.raises(ShapeError):
-            conv1d_fft(x, k, k_rev)
+            block(x, k, k_rev, block_params(rng, 1))
 
-    def test_reverse_kernel_length_mismatch(self):
+    def test_reverse_kernel_length_mismatch(self, rng):
         # the channel axis agrees; only axis -2 differs
         with pytest.raises(ShapeError):
-            conv1d_fft(Tensor(np.ones((5, 2))), Tensor(np.ones((5, 2))),
-                       Tensor(np.ones((4, 2))))
+            block(Tensor(np.ones((5, 2))), Tensor(np.ones((5, 2))), Tensor(np.ones((4, 2))),
+                  block_params(rng, 2))
 
 
 class TestKernelGradientSpectrum:
@@ -148,34 +170,188 @@ class TestKernelGradientSpectrum:
         x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
         k = Tensor(rng.normal(size=shape[1:]).astype(dtype), requires_grad=True)
         k_rev = Tensor(rng.normal(size=shape[1:]).astype(dtype), requires_grad=True)
+        params = block_params(rng, shape[-1], dtype)
         g = rng.normal(size=shape).astype(dtype)
-        conv1d_fft(x, k, k_rev).backward(g)
+        block(x, k, k_rev, params).backward(g)
 
+        # the convolution's input and output gradient, from the separate ops
+        z = layer_norm_reference(x, params["gamma"], params["beta"])
+        y = Tensor(conv_reference(z, k, k_rev).data, requires_grad=True)
+        glu_reference(y, params["w"], params["b"], 0.0, None, False).backward(g)
         n = _next_pow2(2 * length - 1)
 
         def spectrum(a):
-            return sfft.rfft(a, n=n, axis=-2, workers=FFT_WORKERS)
+            return sfft.rfft(a, n=n, axis=-2, workers=worker_count())
 
         def inverse(a):
             return np.ascontiguousarray(
-                sfft.irfft(a, n=n, axis=-2, workers=FFT_WORKERS)[..., :length, :])
+                sfft.irfft(a, n=n, axis=-2, workers=worker_count())[..., :length, :])
 
         # numpy evaluates g_spec * np.conj(x_spec) in this operand order once
         # the temporary passes 256 KiB, and complex products are not
         # bitwise commutative
-        prod = _unbroadcast(np.conj(spectrum(x.data)) * spectrum(g), spectrum(k.data).shape)
+        prod = _unbroadcast(np.conj(spectrum(z.data)) * spectrum(y.grad), spectrum(k.data).shape)
         assert np.array_equal(k.grad, inverse(prod))
         assert np.array_equal(k_rev.grad, inverse(np.conj(prod)))
+
+
+def block_case(rng, bidirectional, dtype=np.float64, rows=7, length=24, d=8):
+    """Leaves of a block at a shape of four row blocks when ``_BLOCK_BYTES``
+    is two rows: (x, k, k_rev, params, mask), the mask padding two records."""
+    def leaf(shape, scale=1.0):
+        return Tensor(scale * rng.normal(size=shape), requires_grad=True, dtype=dtype)
+    x = leaf((rows, length, d))
+    k = leaf((length, d), 0.3)
+    k_rev = leaf((length, d), 0.3) if bidirectional else None
+    mask = None
+    if bidirectional:
+        ends = np.full(rows, length)
+        ends[[1, 4]] = length // 2, 3
+        mask = Tensor((np.arange(length) < ends[:, None])[:, :, None], dtype=dtype)
+    return x, k, k_rev, block_params(rng, d, dtype), mask
+
+
+def run_block(op, case, train, g):
+    """Output and every gradient of ``op`` on ``case``, gradients seeded by ``g``."""
+    x, k, k_rev, params, mask = case
+    leaves = {"x": x, "k": k, "k_rev": k_rev, **params}
+    for leaf in leaves.values():
+        if leaf is not None:
+            leaf.zero_grad()
+    out = op(x, k, k_rev, params["gamma"], params["beta"], params["w"], params["b"], mask,
+             0.3, np.random.default_rng(11), train)
+    out.backward(g)
+    return out.data, {name: leaf.grad for name, leaf in leaves.items() if leaf is not None}
+
+
+MODES = [(False, False), (False, True), (True, False), (True, True)]
+MODE_IDS = ["uni-eval", "uni-train", "bi-mask-eval", "bi-mask-train"]
+
+
+class TestRowBlocks:
+    """conv1d_fft runs fixed row blocks on a thread pool: values must not
+    depend on the block count or the pool size."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        def set_rows(rows, length=24, d=8, itemsize=8):
+            monkeypatch.setattr(fftconv, "_BLOCK_BYTES", rows * length * d * itemsize)
+        return set_rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bidirectional,train", MODES, ids=MODE_IDS)
+    def test_equals_whole_array_composition(self, rng, blocks, bidirectional, train, dtype):
+        case = block_case(rng, bidirectional, dtype)
+        g = rng.normal(size=case[0].shape).astype(dtype)
+        expected, expected_grads = run_block(block_reference, case, train, g)
+        blocks(2, itemsize=np.dtype(dtype).itemsize)  # 7 rows: blocks of 2, 2, 2 and 1
+        out, grads = run_block(conv1d_fft, case, train, g)
+        assert out.dtype == dtype and np.array_equal(out, expected)
+        assert np.array_equal(grads["x"], expected_grads["x"])
+        blocks(7, itemsize=np.dtype(dtype).itemsize)  # one block: the whole-array sums too
+        out, grads = run_block(conv1d_fft, case, train, g)
+        assert np.array_equal(out, expected)
+        for name, value in expected_grads.items():
+            assert np.array_equal(grads[name], value), name
+
+    @pytest.mark.parametrize("bidirectional,train", MODES, ids=MODE_IDS)
+    def test_block_sums_match_one_block(self, rng, blocks, bidirectional, train):
+        case = block_case(rng, bidirectional)
+        g = rng.normal(size=case[0].shape)
+        blocks(7)
+        _, whole = run_block(conv1d_fft, case, train, g)
+        blocks(2)
+        _, blocked = run_block(conv1d_fft, case, train, g)
+        for name, value in whole.items():
+            err = np.abs(blocked[name] - value).max() / np.abs(value).max()
+            assert err <= 1e-12, (name, err)
+
+    @pytest.mark.parametrize("bidirectional,train", MODES, ids=MODE_IDS)
+    def test_pool_size_changes_no_byte(self, rng, blocks, monkeypatch, bidirectional, train):
+        case = block_case(rng, bidirectional, np.float32)
+        g = rng.normal(size=case[0].shape).astype(np.float32)
+        blocks(2, itemsize=4)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            for workers in (1, 2, 5):  # 5: more threads than blocks and than most hosts' CPUs
+                monkeypatch.setattr(fftconv, "FFT_WORKERS", workers)
+                out, grads = run_block(conv1d_fft, case, train, g)
+                results.append([out.tobytes()] + [grads[name].tobytes() for name in sorted(grads)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    def test_blas_single_threaded_inside_pool_and_restored(self, rng, blocks, monkeypatch):
+        blas = fftconv._openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        get, put = blas
+        seen = []
+        sigmoid = fftconv._sigmoid
+
+        def spy(z, out=None):
+            seen.append((threading.current_thread() is threading.main_thread(), get()))
+            return sigmoid(z, out=out)
+
+        monkeypatch.setattr(fftconv, "_sigmoid", spy)
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
+        blocks(2)
+        before = get()
+        put(2)
+        try:
+            run_block(conv1d_fft, block_case(rng, True), True, rng.normal(size=(7, 24, 8)))
+            assert get() == 2
+        finally:
+            put(before)
+        # the forward gates each of the four blocks once, on a pool thread
+        assert len(seen) == 4 and all(not main and threads == 1 for main, threads in seen)
+
+    def test_transforms_looked_up_on_calling_thread_with_length(self, rng, blocks, monkeypatch):
+        # a benchmark may stand in for scipy.fft here; it must only ever be
+        # reached from the caller's thread, and see the padded length
+        lookups, lengths = [], []
+
+        class Probe:
+            def __getattr__(self, name):
+                lookups.append(threading.current_thread() is threading.main_thread())
+                fn = getattr(sfft, name)
+
+                def call(*args, **kwargs):
+                    lengths.append(kwargs["n"])
+                    return fn(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(fftconv, "sfft", Probe())
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
+        blocks(2)
+        run_block(conv1d_fft, block_case(rng, True), True, rng.normal(size=(7, 24, 8)))
+        assert lookups and all(lookups)
+        assert set(lengths) == {64}  # 2L-1 = 47 padded to a power of two
+
+    def test_affinity_sizes_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", -1)
+        assert worker_count() == 3
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
+        assert worker_count() == 2
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 0)
+        with pytest.raises(ContractError):
+            worker_count()
 
 
 class TestFFTRoundTrip:
     @pytest.mark.parametrize("length", [1, 2, 7, 64, 1000, 4096])
     def test_roundtrip(self, rng, length):
         # a unit impulse kernel turns the padded rfft -> irfft pass into the identity
-        x = rng.normal(size=length)
-        impulse = np.zeros(length)
+        x = rng.normal(size=(length, 3))
+        impulse = np.zeros((length, 3))
         impulse[0] = 1.0
-        np.testing.assert_allclose(conv1d_fft(col(x), col(impulse)).data[:, 0], x, atol=1e-10)
+        params = block_params(rng, 3)
+        out = block(Tensor(x), Tensor(impulse), params=params)
+        np.testing.assert_allclose(out.data, block_without_conv(x, params), atol=1e-10)
 
 
 def softmax_lastdim_reference(a: Tensor) -> Tensor:
@@ -383,27 +559,38 @@ class TestOpGradients:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(2, 5, 2), (3, 7), (38, 100, 128)])
-    def test_layer_norm_bits(self, rng, dtype, shape):
+    def test_layer_norm_bits(self, rng, dtype, shape, monkeypatch):
+        # one row block: the LayerNorm sums are whole-array sums
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", 1 << 40)
         x = rng.normal(size=shape).astype(dtype)
         gamma = (rng.normal(size=shape[-1]) + 1.0).astype(dtype)
         beta = rng.normal(size=shape[-1]).astype(dtype)
         g = rng.normal(size=shape).astype(dtype)
-        # the unfused expressions, evaluated one temporary at a time
+        # the unfused expressions, evaluated one temporary at a time, feed the
+        # convolution and GLU ops; their gradient gz comes back through them
         d = shape[-1]
         xc = x - x.mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
         xhat = xc * inv
-        gx = g * gamma
+        params = block_params(rng, d, dtype, requires_grad=False)
+        k = Tensor(rng.normal(size=shape[-2:]), dtype=dtype)
+        z = Tensor(xhat * gamma + beta, requires_grad=True)
+        out = Tensor(x) + glu_reference(conv_reference(z, k), params["w"], params["b"], 0.0, None,
+                                        False)
+        out.backward(g)
+        gz = z.grad
+        gx = gz * gamma
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        expected = {"out": xhat * gamma + beta, "x": term * inv,
-                    "gamma": (g * xhat).reshape(-1, d).sum(axis=0),
-                    "beta": g.reshape(-1, d).sum(axis=0)}
+        expected = {"out": out.data, "x": g + term * inv,
+                    "gamma": (gz * xhat).reshape(-1, d).sum(axis=0),
+                    "beta": gz.reshape(-1, d).sum(axis=0)}
 
         leaves = {name: Tensor(v, requires_grad=True)
                   for name, v in (("x", x), ("gamma", gamma), ("beta", beta))}
-        out = T.layer_norm_lastdim(leaves["x"], leaves["gamma"], leaves["beta"])
-        out.backward(g)
-        got = {"out": out.data, **{name: t.grad for name, t in leaves.items()}}
+        fused = conv1d_fft(leaves["x"], k, None, leaves["gamma"], leaves["beta"], params["w"],
+                           params["b"])
+        fused.backward(g)
+        got = {"out": fused.data, **{name: t.grad for name, t in leaves.items()}}
         for name, value in expected.items():
             assert got[name].dtype == dtype and np.array_equal(got[name], value), name
 
@@ -412,9 +599,11 @@ class TestOpGradients:
         gamma = Tensor(rng.normal(size=6) + 1.0, requires_grad=True)
         beta = Tensor(rng.normal(size=6), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 5, 6)))
+        k = Tensor(rng.normal(size=(5, 6)))
+        glu = block_params(rng, 6, requires_grad=False)
 
         def loss():
-            return (T.layer_norm_lastdim(x, gamma, beta) * w).sum()
+            return (conv1d_fft(x, k, None, gamma, beta, glu["w"], glu["b"]) * w).sum()
 
         worst, _ = backward_and_gradcheck(loss, {"x": x, "gamma": gamma, "beta": beta})
         assert worst <= 1e-6
@@ -440,60 +629,72 @@ class TestOpGradients:
 
 
 class TestGluGate:
-    """Projection, GLU and dropout as one tape op."""
+    """The block's projection, GLU and dropout, inside its one tape op."""
 
     @staticmethod
-    def operands(rng, lead, d_in=3, d=5, dtype=np.float64):
-        y = Tensor(rng.normal(size=lead + (d_in,)), requires_grad=True, dtype=dtype)
-        w = Tensor(rng.normal(size=(d_in, 2 * d)), requires_grad=True, dtype=dtype)
-        b = Tensor(rng.normal(size=2 * d), requires_grad=True, dtype=dtype)
-        return y, w, b
+    def operands(rng, lead, d=5, dtype=np.float64):
+        x = Tensor(rng.normal(size=lead + (d,)), requires_grad=True, dtype=dtype)
+        k = Tensor(rng.normal(size=(x.shape[-2], d)), dtype=dtype)
+        params = block_params(rng, d, dtype)
+        return x, k, params
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     @pytest.mark.parametrize("lead", [(7,), (2, 3)])
     def test_gradcheck(self, rng, lead, p):
-        y, w, b = self.operands(rng, lead)
+        x, k, params = self.operands(rng, lead)
         weight = Tensor(rng.normal(size=lead + (5,)))
 
         def loss():
             # a fresh generator each evaluation: every evaluation drops the same units
-            out = T.glu_gate(y, w, b, p, np.random.default_rng(3), train=True)
+            out = block(x, k, params=params, p=p, rng=np.random.default_rng(3), train=True)
             return (out * weight).sum()
 
-        worst, per = backward_and_gradcheck(loss, {"y": y, "w": w, "b": b})
+        worst, per = backward_and_gradcheck(loss, {"x": x, "w": params["w"], "b": params["b"]})
         assert worst <= 1e-6, per
 
     def test_one_tape_op(self, rng):
-        y, w, b = self.operands(rng, (2, 4))
-        assert len(Tape.trace(T.glu_gate(y, w, b, 0.5, rng, train=True)).ops) == 1
+        x, k, params = self.operands(rng, (2, 4))
+        out = block(x, k, params=params, p=0.5, rng=rng, train=True)
+        assert len(Tape.trace(out).ops) == 1
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_saturated_sigmoid_is_exact(self, dtype):
-        # exp(1e4) overflows in both dtypes; the gate is still exactly 1 or 0
-        y = Tensor(np.eye(2), dtype=dtype)
-        w = Tensor([[1.0, 1e4], [1.0, -1e4]], requires_grad=True, dtype=dtype)
-        out = T.glu_gate(y, w, Tensor(np.zeros(2), dtype=dtype), 0.0, None, train=False)
-        assert out.dtype == dtype and np.array_equal(out.data, [[1.0], [0.0]])
+        # exp(1e4) overflows in both dtypes; the gate is still exactly 1 or 0.
+        # x = 0 makes the LayerNorm output beta, and the impulse kernel keeps it
+        x = Tensor(np.zeros((3, 2)), dtype=dtype)
+        impulse = Tensor([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]], dtype=dtype)
+        params = {"gamma": Tensor(np.ones(2), dtype=dtype), "beta": Tensor(np.ones(2), dtype=dtype),
+                  "w": Tensor([[1.0, 0.0, 1e4, 0.0], [0.0, 1.0, 0.0, -1e4]],
+                              requires_grad=True, dtype=dtype),
+                  "b": Tensor(np.zeros(4), dtype=dtype)}
+        out = block(x, impulse, params=params)
+        assert out.dtype == dtype and np.array_equal(out.data[:, 1], [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(out.data[:, 0], 1.0, atol=1e-6)
         out.sum().backward()
+        assert np.all(np.isfinite(params["w"].grad))
         logits = Tensor([1e4, -1e4], requires_grad=True, dtype=dtype)
         T.bce_with_logits(logits, [1.0, 0.0]).backward()
         assert np.array_equal(logits.grad, [0.0, 0.0])
 
     def test_odd_projection_width(self, rng):
-        y, w, b = self.operands(rng, (4,))
+        x, k, params = self.operands(rng, (4,))
+        params["w"], params["b"] = Tensor(params["w"].data[:, :9]), Tensor(params["b"].data[:9])
         with pytest.raises(ShapeError):
-            T.glu_gate(y, Tensor(w.data[:, :9]), Tensor(b.data[:9]), 0.0, None, train=False)
+            block(x, k, params=params)
 
     @pytest.mark.parametrize("op", ["glu_gate", "dropout"])
     def test_float64_mask_is_uniform_draw(self, rng, op):
-        y, w, b = self.operands(rng, (6, 4))
+        x, k, params = self.operands(rng, (6, 4))
         p = 0.3
         if op == "glu_gate":
-            full = T.glu_gate(y, w, b, p, None, train=False).data
-            dropped = T.glu_gate(y, w, b, p, np.random.default_rng(5), train=True).data
+            # x = 0: the residual adds exactly nothing, so the output is the gated units
+            x = Tensor(np.zeros(x.shape))
+            full = block(x, k, params=params).data
+            dropped = block(x, k, params=params, p=p, rng=np.random.default_rng(5),
+                            train=True).data
         else:
-            full = y.data
-            dropped = T.dropout(y, p, np.random.default_rng(5), train=True).data
+            full = x.data
+            dropped = T.dropout(x, p, np.random.default_rng(5), train=True).data
         mask = (np.random.default_rng(5).random(full.shape) >= p).astype(np.float64) / (1.0 - p)
         assert np.array_equal(dropped, full * mask)
 
