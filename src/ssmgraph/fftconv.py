@@ -30,13 +30,8 @@ the backward about 1.4x slower at the benchmark's tusz-long layer shape.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
-import glob
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import fft as sfft
@@ -50,8 +45,6 @@ FFT_WORKERS = -1
 # A block holds as many rows as fit in this many bytes of input, at least one.
 _BLOCK_BYTES = 1 << 20
 _LN_EPS = 1e-5
-
-_scratch = threading.local()
 
 
 def _next_pow2(n: int) -> int:
@@ -80,6 +73,9 @@ def worker_count() -> int:
 def _openblas():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
     where numpy bundles none."""
+    import ctypes  # here, not at import: set-up never needs them
+    import glob
+
     root = os.path.dirname(np.__file__)
     for path in sorted(glob.glob(os.path.join(root, os.pardir, "numpy.libs", "libscipy_openblas*"))
                        + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*"))):
@@ -101,25 +97,11 @@ def set_blas_threads(threads: int) -> None:
         blas[1](min(threads, _cpus()))
 
 
-@contextlib.contextmanager
-def _blas_single_threaded():
-    """Hold the loaded OpenBLAS at one thread, then restore its count."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 @functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
+def _pool(workers: int):
     """The row pool, made on first use, not at import."""
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(workers, thread_name_prefix="ssmgraph-rows")
 
 
@@ -129,20 +111,16 @@ def _map_blocks(fn, n_blocks: int) -> list:
     workers = worker_count()
     if workers == 1 or n_blocks == 1:
         return [fn(i) for i in range(n_blocks)]
-    with _blas_single_threaded():
+    blas = _openblas()
+    if blas is None:
         return list(_pool(workers).map(fn, range(n_blocks)))
-
-
-def _padded(rows: int, length: int, n: int, d: int, dtype) -> np.ndarray:
-    """This thread's zero-filled (rows, n, d) buffer for signals of ``length``
-    steps. Callers write steps [:length] only, so steps [length:n] stay zero
-    and pocketfft transforms the buffer without padding a copy of its own."""
-    key = (length, n, d, np.dtype(dtype))
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.shape[0] < rows or _scratch.key != key:
-        buf = _scratch.buf = np.zeros((rows, n, d), dtype)
-        _scratch.key = key
-    return buf[:rows]
+    get, put = blas  # hold the loaded OpenBLAS at one thread, then restore it
+    before = get()
+    put(1)
+    try:
+        return list(_pool(workers).map(fn, range(n_blocks)))
+    finally:
+        put(before)
 
 
 def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0.0,
@@ -198,13 +176,12 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
         var = (xhat * xhat).mean(axis=-1, keepdims=True)
         inv[rs] = 1.0 / np.sqrt(var + _LN_EPS)
         xhat *= inv[rs]
-        zbuf = _padded(len(xb), length, n, d, x.dtype)
-        z = zbuf[:, :length]
-        np.multiply(xhat, gamma.data, out=z)
+        z = xhat
+        z *= gamma.data
         z += beta.data
         if mr is not None:
             z *= mr[rs]
-        z_spec = rfft(zbuf, n=n, axis=-2, workers=1)
+        z_spec = rfft(z, n=n, axis=-2, workers=1)
         y = np.ascontiguousarray(irfft(z_spec * spec, n=n, axis=-2, workers=1)[:, :length],
                                  dtype=x.dtype).reshape(-1, d)
         h = y @ w.data
@@ -246,9 +223,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
             g_gate *= g_left
             g_gate *= left
             parts = {"w": y.T @ gh, "b": gh.sum(axis=0)}
-            gbuf = _padded(len(xhat), length, n, d, x.dtype)
-            gbuf[:, :length] = (gh @ w.data.T).reshape(xhat.shape)
-            g_spec = rfft(gbuf, n=n, axis=-2, workers=1)
+            g_spec = rfft((gh @ w.data.T).reshape(xhat.shape), n=n, axis=-2, workers=1)
             if want_k:
                 total = None
                 for j in range(len(z_spec)):  # one row at a time, never all of conj(z_spec)

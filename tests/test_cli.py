@@ -744,8 +744,12 @@ print("after", blas and blas[0]())
 """, **{var: "2" for var in THREAD_VARS})
         probe = dict(line.split() for line in out.splitlines()
                      if line.startswith(("before ", "after ")))
-        # "None" where numpy bundles no OpenBLAS
-        assert probe["after"] in ("None", "1"), probe
+        if probe["before"] == "None":  # numpy bundles no OpenBLAS: nothing to cap
+            assert probe["after"] == "None", probe
+            return
+        if probe["before"] != "2":
+            pytest.skip(f"OpenBLAS loaded at {probe['before']} threads, not 2: nothing to cap")
+        assert probe["after"] == "1", probe
 
     def test_train_outputs_independent_of_thread_count(self, tiny_run):
         tmp_path, cfg_path, _ = tiny_run
