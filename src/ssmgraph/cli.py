@@ -35,10 +35,11 @@ def _apply_thread_cap(threads: int | None) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ssmgraph")
     parser.add_argument("--threads", type=int, default=os.environ.get("GS4_THREADS") or None,
-                        help="threads of the S4 block's row pool (default: every CPU this "
-                             "process may run on); inside the pool pocketfft and OpenBLAS run "
-                             "single-threaded, and results do not depend on the count. Also "
-                             "caps OpenBLAS outside the pool, and overrides inherited "
+                        help="threads of the S4 block's row pool, the calling thread "
+                             "included (default: every CPU this process may run on); pocketfft "
+                             "runs single-threaded inside the pool, OpenBLAS once a pool of "
+                             "more than one thread has run, and results do not depend on the "
+                             "count. Also caps OpenBLAS until then, and overrides inherited "
                              "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and "
                              "NUMEXPR_NUM_THREADS (env fallback: GS4_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)

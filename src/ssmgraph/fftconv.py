@@ -11,9 +11,10 @@ Complex values never leave this module.
 Every row of the (rows, L, D) activations, one sensor channel of one record,
 is independent through LayerNorm, the convolution and the GLU. The op runs
 them in fixed blocks of about ``_BLOCK_BYTES``, so a block's working set stays
-in cache, on a pool of ``worker_count()`` threads. The pool is the only
-parallel level: inside it pocketfft runs at ``workers=1`` and numpy's bundled
-OpenBLAS is held at one thread, then restored. The partition depends only on
+in cache, on ``worker_count()`` threads: the calling thread and a pool of
+helpers each take the next unclaimed block. The pool is the only parallel
+level: inside it pocketfft runs at ``workers=1``, and once it has run numpy's
+bundled OpenBLAS stays at one thread. The partition depends only on
 shapes, and each block repeats the whole-array arithmetic on its rows, so
 outputs and the input gradient do not depend on the block count. Parameter
 and kernel-spectrum gradients are summed per block and then over blocks in
@@ -31,7 +32,9 @@ the backward about 1.4x slower at the benchmark's tusz-long layer shape.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
+from concurrent import futures
 
 import numpy as np
 from scipy import fft as sfft
@@ -98,29 +101,39 @@ def set_blas_threads(threads: int) -> None:
 
 
 @functools.cache
-def _pool(workers: int):
-    """The row pool, made on first use, not at import."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(workers, thread_name_prefix="ssmgraph-rows")
+def _pool(helpers: int):
+    """The row pool's helper threads, made on first use, not at import."""
+    return futures.ThreadPoolExecutor(helpers, thread_name_prefix="ssmgraph-rows")
 
 
 def _map_blocks(fn, n_blocks: int) -> list:
-    """``[fn(i) for i in range(n_blocks)]``, on the row pool when it has more
-    than one thread and there is more than one block."""
-    workers = worker_count()
-    if workers == 1 or n_blocks == 1:
+    """``[fn(i) for i in range(n_blocks)]``. With more than one worker and
+    block, the calling thread and ``workers - 1`` pool threads each take the
+    next unclaimed block until none is left, and the caller waits once, for
+    the helpers' last blocks."""
+    workers = min(worker_count(), n_blocks)
+    if workers == 1:
         return [fn(i) for i in range(n_blocks)]
-    blas = _openblas()
-    if blas is None:
-        return list(_pool(workers).map(fn, range(n_blocks)))
-    get, put = blas  # hold the loaded OpenBLAS at one thread, then restore it
-    before = get()
-    put(1)
+    # OpenBLAS stays at one thread from here on: restored after each call, its
+    # idle threads spun through the next pool phase, a third busy thread
+    set_blas_threads(1)
+    results = [None] * n_blocks
+    claim = itertools.count()  # next() on it is atomic under the GIL
+
+    def drain():
+        for i in claim:
+            if i >= n_blocks:
+                return
+            results[i] = fn(i)
+
+    helpers = [_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
     try:
-        return list(_pool(workers).map(fn, range(n_blocks)))
+        drain()
     finally:
-        put(before)
+        futures.wait(helpers)  # no block runs once the call has returned or raised
+    for helper in helpers:
+        helper.result()  # re-raises a helper's exception
+    return results
 
 
 def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0.0,

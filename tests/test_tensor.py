@@ -283,7 +283,7 @@ class TestRowBlocks:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
 
-    def test_blas_single_threaded_inside_pool_and_restored(self, rng, blocks, monkeypatch):
+    def test_blas_held_at_one_thread_once_pool_runs(self, rng, blocks, monkeypatch):
         blas = fftconv._openblas()
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS")
@@ -292,21 +292,26 @@ class TestRowBlocks:
         sigmoid = fftconv._sigmoid
 
         def spy(z, out=None):
-            seen.append((threading.current_thread() is threading.main_thread(), get()))
+            seen.append(get())
             return sigmoid(z, out=out)
 
         monkeypatch.setattr(fftconv, "_sigmoid", spy)
-        monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
         blocks(2)
+        case = block_case(rng, True)
         before = get()
         put(2)
         try:
-            run_block(conv1d_fft, block_case(rng, True), True, rng.normal(size=(7, 24, 8)))
-            assert get() == 2
+            monkeypatch.setattr(fftconv, "FFT_WORKERS", 1)  # no pool: OpenBLAS as it was
+            run_block(conv1d_fft, case, True, rng.normal(size=(7, 24, 8)))
+            assert get() == 2 and seen == [2] * 4
+            seen.clear()
+            monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
+            run_block(conv1d_fft, case, True, rng.normal(size=(7, 24, 8)))
+            # the forward gates each of the four blocks once, OpenBLAS at one
+            # thread; it stays there, so its idle threads never spin beside the pool
+            assert get() == 1 and seen == [1] * 4
         finally:
             put(before)
-        # the forward gates each of the four blocks once, on a pool thread
-        assert len(seen) == 4 and all(not main and threads == 1 for main, threads in seen)
 
     def test_transforms_looked_up_on_calling_thread_with_length(self, rng, blocks, monkeypatch):
         # a benchmark may stand in for scipy.fft here; it must only ever be
