@@ -114,8 +114,8 @@ def _map_blocks(fn, n_blocks: int) -> list:
     workers = min(worker_count(), n_blocks)
     if workers == 1:
         return [fn(i) for i in range(n_blocks)]
-    # OpenBLAS stays at one thread from here on: restored after each call, its
-    # idle threads spun through the next pool phase, a third busy thread
+    # OpenBLAS is left at one thread: set back to more, its idle threads would
+    # busy-wait through the next pool phase beside the pool's own
     set_blas_threads(1)
     results = [None] * n_blocks
     claim = itertools.count()  # next() on it is atomic under the GIL

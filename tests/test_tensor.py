@@ -313,6 +313,23 @@ class TestRowBlocks:
         finally:
             put(before)
 
+    def test_block_error_raised_once_every_block_has_stopped(self, monkeypatch):
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
+        ran = []
+
+        def fn(i):
+            if i == 2:
+                raise NumericError("block 2")
+            ran.append(i)
+            return i
+
+        with pytest.raises(NumericError, match="block 2"):
+            fftconv._map_blocks(fn, 40)
+        # the caller and the helper drain the blocks after the failing one too,
+        # and the call returns only once both have stopped
+        assert sorted(ran) == [i for i in range(40) if i != 2]
+        assert fftconv._map_blocks(lambda i: i * i, 5) == [0, 1, 4, 9, 16]
+
     def test_transforms_looked_up_on_calling_thread_with_length(self, rng, blocks, monkeypatch):
         # a benchmark may stand in for scipy.fft here; it must only ever be
         # reached from the caller's thread, and see the padded length
