@@ -3,6 +3,8 @@ checking, profiling, and adjacency export.
 
 Exit codes: 0 success, 2 invalid configuration/input (message names the
 field or file), 3 numeric failure (divergence, failed gradient check).
+Numeric flags are parsed and range-checked by argparse, which exits 2 naming
+the flag before any work; ``gen-data``'s flags are checked by ``DatasetSpec``.
 
 Heavy imports happen after the thread cap is applied, because BLAS sizes
 its thread pool when numpy loads; an OpenBLAS that is already loaded is
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,9 +35,38 @@ def _apply_thread_cap(threads: int | None) -> None:
     fftconv.set_blas_threads(threads)  # an OpenBLAS loaded earlier ignores them
 
 
+def _number(kind, low, strict: bool = False):
+    """An argparse ``type=``: a finite ``kind`` (int or float) >= ``low``, or
+    > ``low`` if ``strict``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low) or value == math.inf:
+            op = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be finite and {op} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _parse_sweep(text: str) -> list[int]:
+    """An argparse ``type=``: interval counts >= 1 as a range like 1..10 or a
+    list like 1,2,6."""
+    try:
+        lo, sep, hi = text.partition("..")
+        sweep = (list(range(int(lo), int(hi) + 1)) if sep
+                 else [int(v) for v in text.split(",")])
+    except ValueError:
+        sweep = []
+    if not sweep or min(sweep) < 1:
+        raise argparse.ArgumentTypeError(f"expected counts >= 1 as a range like 1..10 or a "
+                                         f"list like 1,2,6, got {text!r}")
+    return sweep
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ssmgraph")
-    parser.add_argument("--threads", type=int, default=os.environ.get("GS4_THREADS") or None,
+    parser.add_argument("--threads", type=_number(int, 1),
+                        default=os.environ.get("GS4_THREADS") or None,
                         help="threads of the S4 block's row pool, the calling thread "
                              "included (default: every CPU this process may run on); pocketfft "
                              "runs single-threaded inside the pool, OpenBLAS once a pool of "
@@ -73,13 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write mean_adj_class<c>.csv, the mean learned graph of each "
                         "class's correctly predicted records, and adjacency_delta.json: "
                         "per class pair delta_mean, delta_std, p_value, n_permutations")
-    p.add_argument("--permutations", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--permutations", type=_number(int, 1), default=200)
+    p.add_argument("--batch-size", type=_number(int, 1), default=32)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--seed", type=_number(int, 0), default=7)
+    p.add_argument("--tolerance", type=_number(float, 0), default=1e-4)
+    p.add_argument("--step", type=_number(float, 0, strict=True), default=1e-5)
 
     p = sub.add_parser("export-adj", help="dump learned adjacency CSVs for records")
     p.add_argument("--checkpoint", required=True)
@@ -88,18 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("profile", help="parameter/MAC table across interval counts")
-    p.add_argument("--d", type=int, default=128)
-    p.add_argument("--n-sensors", type=int, default=19)
-    p.add_argument("--t", type=int, default=12000)
-    p.add_argument("--sweep-nd", default="1..10", help="range like 1..10 or list 1,2,6")
+    p.add_argument("--d", type=_number(int, 1), default=128)
+    p.add_argument("--n-sensors", type=_number(int, 1), default=19)
+    p.add_argument("--t", type=_number(int, 1), default=12000)
+    p.add_argument("--sweep-nd", type=_parse_sweep, default="1..10",
+                   help="range like 1..10 or list 1,2,6")
     return parser
-
-
-def _require_positive(*flags: tuple[str, int]) -> None:
-    """Reject an integer flag below 1 before any work, naming it (exit 2)."""
-    for flag, value in flags:
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -109,26 +135,21 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _load_checkpoint_and_data(args):
-    """(model, extra, dataset) of ``--checkpoint`` and ``--data``; shapes and
-    labels must fit."""
+    """(model, extra, dataset) of ``--checkpoint`` and ``--data``; the
+    dataset must fit the model."""
     from .data import load_bsg1
     from .model import load_checkpoint
-    from .train import check_labels, check_shapes
+    from .train import check_dataset
 
     model, extra = load_checkpoint(args.checkpoint)
     dataset = load_bsg1(args.data)
-    if not len(dataset):
-        raise ValueError(f"{args.data}: dataset has no records")
-    check_shapes(model.cfg, dataset)
-    check_labels(model.cfg, dataset)
+    check_dataset(model.cfg, dataset, args.data)
     return model, extra, dataset
 
 
 def _checkpoint_thresholds(path, model, extra):
     """The checkpoint's ``thresholds``: absent (None), or one finite number
     per sigmoid column (1 binary, C multilabel, 0 multiclass)."""
-    import math
-
     if "thresholds" not in extra:
         return None
     thresholds = extra["thresholds"]
@@ -159,14 +180,13 @@ def cmd_train(args) -> int:
 
     from .config import load_run_config
     from .model import build_model, save_checkpoint
-    from .train import build_report, check_labels, check_shapes, collect_outputs, train_loop
+    from .train import build_report, check_dataset, collect_outputs, train_loop
 
     merged, run = load_run_config(args.config, args.set, args.seed)
-    train_ds, val_ds, test_ds = run.data.load(run.seed)
-    for dataset in (train_ds, val_ds, test_ds):
+    train_ds, val_ds, test_ds = datasets = run.data.load(run.seed)
+    for split, dataset in zip(("train", "val", "test"), datasets):
         if dataset is not None:
-            check_shapes(run.model, dataset)
-            check_labels(run.model, dataset)
+            check_dataset(run.model, dataset, getattr(run.data, split) or f"data.{split}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", merged)
@@ -205,7 +225,6 @@ def cmd_eval(args) -> int:
     from .metrics import adjacency_analysis
     from .train import build_report, collect_outputs, predictions_correct, select_thresholds
 
-    _require_positive(("--permutations", args.permutations), ("--batch-size", args.batch_size))
     model, extra, dataset = _load_checkpoint_and_data(args)
     thresholds = _checkpoint_thresholds(args.checkpoint, model, extra)
     if args.adj_analysis and model.cfg.task == "multilabel":
@@ -231,8 +250,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    import math
-
     import numpy as np
 
     from .gnn import PoolSpec
@@ -240,12 +257,6 @@ def cmd_gradcheck(args) -> int:
     from .graphlearn import GslConfig, RegWeights
     from .model import ModelConfig, build_model
 
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise ValueError(f"--step must be finite and > 0, got {args.step}")
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cfg = ModelConfig(
         n_sensors=3, input_dim=1, d_model=8, s4_depth=2, p_states=4,
         gsl=GslConfig(r=8, knn_k=1, epsilon=0.0, kappa=0.05, heads=1),
@@ -298,28 +309,14 @@ def cmd_export_adj(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep(text: str) -> list[int]:
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--sweep-nd: expected a range like 1..10 or a list like 1,2,6, "
-                         f"got {text!r}") from None
-
-
 def cmd_profile(args) -> int:
     from .model import GSL_MACS_NODE_FACTOR, gsl_mac_estimate, gsl_param_count
 
-    sweep = _parse_sweep(args.sweep_nd)
-    _require_positive(("--d", args.d), ("--n-sensors", args.n_sensors), ("--t", args.t),
-                      *(("--sweep-nd", n_d) for n_d in sweep))
     params = gsl_param_count(args.d)
     print(f"graph-learner cost at D={args.d}, N={args.n_sensors}, T={args.t} "
           f"({GSL_MACS_NODE_FACTOR}*D^2 MACs per node per interval)")
     print(f"{'n_d':>4}  {'r':>8}  {'params':>10}  {'macs':>14}")
-    for n_d in sweep:
+    for n_d in args.sweep_nd:
         if args.t % n_d != 0:
             print(f"{n_d:>4}  {'-':>8}  {params:>10}  {'-':>14}")
             continue
@@ -330,10 +327,7 @@ def cmd_profile(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
+    args = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     _apply_thread_cap(args.threads)
 
     from .optim import DivergenceError

@@ -1,7 +1,8 @@
-"""Synthetic task generators, record containers, BSG1 binary I/O,
-splits, and class balancing.
+"""Synthetic tasks, record containers, BSG1 binary I/O, splits, and class
+balancing.
 
-Two generators make the model's mechanisms falsifiable at desk scale:
+``generate`` makes either of two binary tasks, which make the model's
+mechanisms falsifiable at desk scale:
 
 * correlation task: the two classes differ only in cross-sensor correlation
   structure appearing in the second half of each record; per-sensor
@@ -22,9 +23,7 @@ _KIND_INDEX = 0     # label stored as a class index
 _KIND_BITMASK = 1   # label stored as a multilabel bitmask
 
 BSG1_MAGIC = b"BSG1"
-# Version 2 adds the padded length to the header; version 1 files still load,
-# padded to their longest record.
-BSG1_VERSION = 2
+BSG1_VERSION = 2  # the only version read; version 1 had no padded length
 
 
 class ParseError(ValueError):
@@ -138,14 +137,6 @@ def _ar1(eps: np.ndarray, phi: float) -> np.ndarray:
     return eps
 
 
-def _labels_for(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
-    n_pos = int(round(spec.size * spec.class_balance))
-    labels = np.zeros(spec.size, dtype=np.int64)
-    labels[:n_pos] = 1
-    rng.shuffle(labels)
-    return labels
-
-
 def marker_template(length: int) -> np.ndarray:
     """Deterministic unit-RMS marker pattern (matched-filter target)."""
     t = (np.arange(length) + 0.5) / length
@@ -157,18 +148,13 @@ def marker_length(t_len: int) -> int:
     return max(1, t_len // 100)
 
 
-def gen_correlation_task(spec: DatasetSpec) -> Dataset:
+def _correlation_signals(spec: DatasetSpec, labels, rngs):
     """Class 1: a sensor clique shares a common latent (blended fast stream
     plus an identical second-half level); class 0: all sensors independent.
 
     Per-sensor marginals are identical across classes by construction, so
     per-channel statistics carry no signal; only the cross-sensor structure,
     appearing in the second half, separates the classes."""
-    if spec.kind != "correlation":
-        raise ValueError("spec.kind must be 'correlation'")
-    ss = np.random.SeedSequence(spec.seed)
-    label_rng = np.random.default_rng(ss.spawn(1)[0])
-    labels = _labels_for(spec, label_rng)
     clique = spec.resolved_clique()
     a = np.sqrt(spec.clique_corr)
     b = np.sqrt(1.0 - spec.clique_corr)
@@ -182,8 +168,7 @@ def gen_correlation_task(spec: DatasetSpec) -> Dataset:
     slow = np.empty((spec.size, n + 1, spec.t_len))
     levels = np.empty((spec.size, n, 2))                  # one level per half
     level_shared = np.empty(spec.size)
-    for i, child in enumerate(ss.spawn(spec.size)):
-        rng = np.random.default_rng(child)
+    for i, rng in enumerate(rngs):
         fast[i, :n] = rng.normal(size=(n, spec.t_len))
         fast[i, n] = rng.normal(size=(spec.t_len,))
         slow[i, :n] = rng.normal(size=(n, spec.t_len))
@@ -192,7 +177,6 @@ def gen_correlation_task(spec: DatasetSpec) -> Dataset:
         level_shared[i] = rng.normal()
     _ar1(fast, NOISE_PHI)
     _ar1(slow, SLOW_PHI)
-    records = []
     for i in range(spec.size):
         if labels[i] == 1:
             fast[i, :clique, half:] = (a * fast[i, n, half:]
@@ -204,37 +188,36 @@ def gen_correlation_task(spec: DatasetSpec) -> Dataset:
         x[:, :half] += w_level * levels[i, :, :1]
         x[:, half:] += w_level * levels[i, :, 1:]
         x /= x.std()  # unit global std; a per-record scalar keeps correlations
-        x = np.repeat(x[:, :, None], spec.input_dim, axis=2)
-        records.append(SignalRecord(x=x, y=int(labels[i]),
-                                    mask=np.ones(spec.t_len, dtype=bool),
-                                    true_length=spec.t_len, record_id=f"corr-{i:05d}"))
-    return Dataset(records=records, task="binary", n_classes=2)
+        yield np.repeat(x[:, :, None], spec.input_dim, axis=2)
 
 
-def gen_longrange_task(spec: DatasetSpec) -> Dataset:
+def _longrange_signals(spec: DatasetSpec, labels, rngs):
     """Class 1 carries a short marker in the first 1% of timesteps; the rest
     of the record is distractor noise on every sensor."""
-    if spec.kind != "longrange":
-        raise ValueError("spec.kind must be 'longrange'")
-    ss = np.random.SeedSequence(spec.seed)
-    label_rng = np.random.default_rng(ss.spawn(1)[0])
-    labels = _labels_for(spec, label_rng)
     m_len = marker_length(spec.t_len)
     template = marker_template(m_len)
-    records = []
-    for i, child in enumerate(ss.spawn(spec.size)):
-        rng = np.random.default_rng(child)
+    for label, rng in zip(labels, rngs):
         x = rng.normal(size=(spec.n_sensors, spec.t_len, spec.input_dim))
-        if labels[i] == 1:
+        if label == 1:
             x[:, :m_len, 0] += spec.marker_amplitude * template
-        records.append(SignalRecord(x=x, y=int(labels[i]),
-                                    mask=np.ones(spec.t_len, dtype=bool),
-                                    true_length=spec.t_len, record_id=f"long-{i:05d}"))
-    return Dataset(records=records, task="binary", n_classes=2)
+        yield x
 
 
 def generate(spec: DatasetSpec) -> Dataset:
-    return gen_correlation_task(spec) if spec.kind == "correlation" else gen_longrange_task(spec)
+    """The binary task of ``spec.kind``: a ``class_balance`` share of the
+    labels is 1, shuffled by the seed's first child; record i draws its
+    signals from the seed's child i of a second spawn."""
+    ss = np.random.SeedSequence(spec.seed)
+    labels = np.zeros(spec.size, dtype=np.int64)
+    labels[:int(round(spec.size * spec.class_balance))] = 1
+    np.random.default_rng(ss.spawn(1)[0]).shuffle(labels)
+    rngs = [np.random.default_rng(child) for child in ss.spawn(spec.size)]
+    signals, prefix = ((_correlation_signals, "corr") if spec.kind == "correlation"
+                       else (_longrange_signals, "long"))
+    records = [SignalRecord(x=x, y=int(y), mask=np.ones(spec.t_len, dtype=bool),
+                            true_length=spec.t_len, record_id=f"{prefix}-{i:05d}")
+               for i, (x, y) in enumerate(zip(signals(spec, labels, rngs), labels))]
+    return Dataset(records=records, task="binary", n_classes=2)
 
 
 # -- splits and balancing ---------------------------------------------------
@@ -324,8 +307,7 @@ def save_bsg1(dataset: Dataset, path) -> bytes:
 
 def load_bsg1(path) -> Dataset:
     """Parse a BSG1 file; errors report the byte offset and return nothing partial.
-    Records are zero-padded to the header's padded length, or in a version-1
-    file, which has none, to the file's longest record."""
+    Records are zero-padded to the header's padded length."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = 0
@@ -340,24 +322,27 @@ def load_bsg1(path) -> Dataset:
 
     if need(4, "magic") != BSG1_MAGIC:
         raise ParseError("bad magic at byte 0")
-    version, count = struct.unpack("<II", need(8, "header"))
-    if version not in (1, BSG1_VERSION):
+    version = struct.unpack("<I", need(4, "version"))[0]
+    if version != BSG1_VERSION:
         raise ParseError(f"unsupported version {version} at byte 4")
-    t_pad = struct.unpack("<I", need(4, "padded length"))[0] if version == BSG1_VERSION else 0
-    entries = []
-    task = None
-    n_classes = None
+    count, t_pad = struct.unpack("<II", need(8, "header"))
+    records = []
+    task, n_classes = "binary", 2  # an empty file's
     for i in range(count):
         n, t, m = struct.unpack("<III", need(12, f"record {i} shape"))
-        if version == BSG1_VERSION and t > t_pad:
+        if t > t_pad:
             raise ParseError(f"record {i} length {t} exceeds padded length {t_pad} "
                              f"at byte {off - 8}")
         kind, classes, value, id_len = struct.unpack("<IIII", need(16, f"record {i} label"))
+        if kind not in (_KIND_INDEX, _KIND_BITMASK) or (kind == _KIND_BITMASK and classes > 32):
+            raise ParseError(f"record {i} label block at byte {off - 16}: kind {kind} with "
+                             f"{classes} classes is neither 0 (class index) nor 1 (bitmask "
+                             f"of at most 32 classes)")
         rid = need(id_len, f"record {i} id").decode("utf-8")
         values = np.frombuffer(need(4 * n * t * m, f"record {i} values"), dtype="<f4")
         rec_task = "multilabel" if kind == _KIND_BITMASK else (
             "binary" if classes == 2 else "multiclass")
-        if task is None:
+        if not records:
             task, n_classes = rec_task, classes
         elif (task, n_classes) != (rec_task, classes):
             raise ParseError(f"inconsistent label block in record {i}")
@@ -365,17 +350,10 @@ def load_bsg1(path) -> Dataset:
             y = np.array([(value >> b) & 1 for b in range(classes)], dtype=np.int64)
         else:
             y = int(value)
-        entries.append((rid, y, values.astype(np.float64).reshape(n, t, m)))
+        x = np.zeros((n, t_pad, m))
+        x[:, :t] = values.reshape(n, t, m)
+        records.append(SignalRecord(x=x, y=y, mask=np.arange(t_pad) < t,
+                                    true_length=t, record_id=rid))
     if off != len(raw):
         raise ParseError(f"trailing bytes at offset {off}")
-    if not entries:
-        return Dataset(records=[], task="binary", n_classes=2)
-    t_max = t_pad if version == BSG1_VERSION else max(x.shape[1] for _, _, x in entries)
-    records = []
-    for rid, y, x in entries:
-        t = x.shape[1]
-        padded = np.zeros((x.shape[0], t_max, x.shape[2]))
-        padded[:, :t] = x
-        records.append(SignalRecord(x=padded, y=y, mask=np.arange(t_max) < t,
-                                    true_length=t, record_id=rid))
     return Dataset(records=records, task=task, n_classes=n_classes)

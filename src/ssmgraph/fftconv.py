@@ -102,7 +102,8 @@ def set_blas_threads(threads: int) -> None:
 
 @functools.cache
 def _pool(helpers: int):
-    """The row pool's helper threads, made on first use, not at import."""
+    """The row pool's helper threads, made on first use, not at import; keyed
+    by ``worker_count() - 1``, not by a call's block count."""
     return futures.ThreadPoolExecutor(helpers, thread_name_prefix="ssmgraph-rows")
 
 
@@ -111,7 +112,8 @@ def _map_blocks(fn, n_blocks: int) -> list:
     block, the calling thread and ``workers - 1`` pool threads each take the
     next unclaimed block until none is left, and the caller waits once, for
     the helpers' last blocks."""
-    workers = min(worker_count(), n_blocks)
+    threads = worker_count()
+    workers = min(threads, n_blocks)
     if workers == 1:
         return [fn(i) for i in range(n_blocks)]
     # OpenBLAS is left at one thread: set back to more, its idle threads would
@@ -126,7 +128,8 @@ def _map_blocks(fn, n_blocks: int) -> list:
                 return
             results[i] = fn(i)
 
-    helpers = [_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
+    pool = _pool(threads - 1)
+    helpers = [pool.submit(drain) for _ in range(workers - 1)]
     try:
         drain()
     finally:

@@ -28,12 +28,8 @@ from .tensor import ContractError, Module, ShapeError, Tensor
 ENCODERS = ("s4", "gru")
 
 CHECKPOINT_MAGIC = b"GS4M"
-# Version 3: each tensor follows its shape with a dtype tag and is stored in
-# the model's dtype, so a float64 model round-trips exactly. Versions 1 and 2
-# have no tag and store every tensor as float32.
-# Version 2: a bidirectional layer's skip term is core.d_skip + core_rev.d_skip.
-# Version 1 files load with every core_rev.d_skip zeroed, which was their
-# behaviour, since version 1 models never read that parameter.
+# Version 3, the only one read: each tensor follows its shape with a dtype tag
+# and is stored in the model's dtype, so a float64 model round-trips exactly.
 CHECKPOINT_VERSION = 3
 CHECKPOINT_DTYPES = {b"f4": np.dtype("<f4"), b"f8": np.dtype("<f8")}
 
@@ -68,7 +64,7 @@ class ModelConfig:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.encoder not in ENCODERS:
             raise ContractError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
-        for name in ("d_model", "p_states"):
+        for name in ("input_dim", "d_model", "s4_depth", "p_states"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
@@ -117,8 +113,8 @@ class SequenceEncoder(Module):
                  rng: np.random.Generator, dtype=np.float64):
         self.input_dim = input_dim
         self.d_model = d_model
-        sd = max(input_dim, 1) ** -0.5
-        self.w_in = Tensor(rng.normal(0.0, sd, (input_dim, d_model)), requires_grad=True, dtype=dtype)
+        self.w_in = Tensor(rng.normal(0.0, input_dim ** -0.5, (input_dim, d_model)),
+                           requires_grad=True, dtype=dtype)
         self.b_in = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
         self.layers = [make_layer(rng) for _ in range(depth)]
 
@@ -290,7 +286,7 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
     if need(4) != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic at byte 0")
     version = struct.unpack("<I", need(4))[0]
-    if version not in (1, 2, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     blob_len = struct.unpack("<I", need(4))[0]
     payload = json.loads(need(blob_len).decode("utf-8"))
@@ -310,12 +306,10 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
         ndim = struct.unpack("<I", need(4))[0]
         shape = tuple(struct.unpack("<I", need(4))[0] for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
-        dtype = np.dtype("<f4")
-        if version >= 3:
-            tag = need(2)
-            if tag not in CHECKPOINT_DTYPES:
-                raise CheckpointError(f"unknown dtype tag {tag!r} of {name!r}")
-            dtype = CHECKPOINT_DTYPES[tag]
+        tag = need(2)
+        if tag not in CHECKPOINT_DTYPES:
+            raise CheckpointError(f"unknown dtype tag {tag!r} of {name!r}")
+        dtype = CHECKPOINT_DTYPES[tag]
         values = np.frombuffer(need(dtype.itemsize * count), dtype=dtype).reshape(shape)
         if name not in params:
             raise CheckpointError(f"unknown parameter {name!r} in checkpoint")
@@ -330,8 +324,4 @@ def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
     missing = [name for name in params if name not in loaded]
     if missing:
         raise CheckpointError(f"parameter {missing[0]!r} missing from checkpoint")
-    if version == 1:
-        for name, p in params.items():
-            if name.endswith(".core_rev.d_skip"):
-                p.data[...] = 0.0
     return model, payload.get("extra", {})

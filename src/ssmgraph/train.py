@@ -77,34 +77,32 @@ def collect_outputs(model: SsmGraphModel, dataset: Dataset, batch_size: int = 32
                        graphs=graphs, record_ids=ids, total_loss=total / len(dataset))
 
 
-def check_labels(cfg: ModelConfig, dataset: Dataset) -> None:
-    """Reject a dataset whose labels the model cannot score: a class index
-    outside the model's classes, or a multi-hot vector of the wrong width."""
+def check_dataset(cfg: ModelConfig, dataset: Dataset, name: str) -> None:
+    """Reject a dataset the model cannot run on, the message led by ``name``
+    (a file or a config field): no records; a sensor count or input width
+    other than the model's, or a length the interval r does not divide; a
+    class index outside the model's classes, or a multi-hot vector of the
+    wrong width."""
+    if not len(dataset):
+        raise ValueError(f"{name}: dataset has no records")
     n_classes = 2 if cfg.task == "binary" else cfg.n_classes
     for rec in dataset.records:
+        n_sensors, t_len, width = rec.x.shape
+        if (n_sensors, width) != (cfg.n_sensors, cfg.input_dim):
+            raise T.ShapeError(f"{name}: record {rec.record_id}: {n_sensors} sensors of input "
+                               f"width {width} do not fit a model of {cfg.n_sensors} sensors "
+                               f"of input width {cfg.input_dim}")
+        if cfg.gsl.r != FULL_INTERVAL and t_len % cfg.gsl.r:
+            raise T.ShapeError(f"{name}: record {rec.record_id}: length {t_len} is not "
+                               f"divisible by the model's interval r={cfg.gsl.r}")
         y = np.asarray(rec.y)
         if cfg.task == "multilabel":
             ok = y.shape == (n_classes,) and bool(np.isin(y, (0, 1)).all())
         else:
             ok = y.ndim == 0 and 0 <= y < n_classes
         if not ok:
-            raise ValueError(f"record {rec.record_id}: label {rec.y} does not fit a "
+            raise ValueError(f"{name}: record {rec.record_id}: label {rec.y} does not fit a "
                              f"{cfg.task} model with {n_classes} classes")
-
-
-def check_shapes(cfg: ModelConfig, dataset: Dataset) -> None:
-    """Reject a dataset whose signals the model cannot read: a sensor count or
-    input width other than the model's, or a length the interval r does not
-    divide."""
-    for rec in dataset.records:
-        n_sensors, t_len, width = rec.x.shape
-        if (n_sensors, width) != (cfg.n_sensors, cfg.input_dim):
-            raise T.ShapeError(f"record {rec.record_id}: {n_sensors} sensors of input width "
-                               f"{width} do not fit a model of {cfg.n_sensors} sensors of "
-                               f"input width {cfg.input_dim}")
-        if cfg.gsl.r != FULL_INTERVAL and t_len % cfg.gsl.r:
-            raise T.ShapeError(f"record {rec.record_id}: length {t_len} is not divisible "
-                               f"by the model's interval r={cfg.gsl.r}")
 
 
 def validation_metric(task: str, report: dict) -> float:

@@ -229,11 +229,12 @@ class TestTrainEval:
         tmp_path, cfg_path, data_path = tiny_run
         out_dir = tmp_path / "run"
         main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"])
-        rc = main(["eval", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
-                   "--data", str(data_path), "--out", str(tmp_path / "eval"),
-                   "--adj-analysis", "--permutations", "-1"])
-        assert rc == 2
-        assert "--permutations" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(out_dir / "checkpoint.gs4m"),
+                  "--data", str(data_path), "--out", str(tmp_path / "eval"),
+                  "--adj-analysis", "--permutations", "-1"])
+        assert exc.value.code == 2
+        assert "argument --permutations: must be finite and >= 1, got -1" in capsys.readouterr().err
 
     def test_adj_analysis_multilabel_rejected_before_writing(self, tmp_path, capsys):
         from ssmgraph.config import parse_model_config
@@ -444,6 +445,10 @@ class TestErrors:
         # each ended in numpy's bare "expected non-negative integer"
         (None, ["seed=-3"], "seed must be >= 0, got -3"),
         (None, ["data.spec.seed=-1"], "data.spec: seed must be >= 0, got -1"),
+        # each trained a model without encoder layers and exited 0
+        (None, ["model.s4_depth=0"], "model: s4_depth must be >= 1, got 0"),
+        (None, ["model.s4_depth=-1"], "model: s4_depth must be >= 1, got -1"),
+        (None, ["model.input_dim=0"], "model: input_dim must be >= 1, got 0"),
     ])
     def test_bad_run_config_exit_2(self, tiny_run, capsys, config, overrides, message):
         tmp_path, cfg_path, _ = tiny_run
@@ -469,14 +474,21 @@ class TestErrors:
         (["eval", "--batch-size", "0"], "--batch-size"),
         (["eval", "--batch-size", "-2"], "--batch-size"),
         (["gradcheck", "--seed", "-1"], "--seed"),
+        # a non-numeric flag leaves by the same route
+        (["gradcheck", "--step", "abc"], "--step"),
+        (["profile", "--sweep-nd", "3..1"], "--sweep-nd"),
+        (["--threads", "0", "profile"], "--threads"),
+        (["--threads", "two", "profile"], "--threads"),
     ])
     def test_bad_flag_exit_2_before_any_work(self, tmp_path, capsys, argv, flag):
         if argv[0] == "eval":
             argv = argv + ["--checkpoint", "missing.gs4m", "--data", "missing.bsg1",
                            "--out", str(tmp_path / "o")]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:  # argparse's exit
+            main(argv)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.split()[1].rstrip(":") == flag, captured.err
+        assert f"error: argument {flag}: " in captured.err, captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
@@ -509,8 +521,8 @@ class TestErrors:
 
 
 class TestCheckpointContents:
-    """A checkpoint blob or dataset that eval and export-adj cannot use exits 2
-    before any output."""
+    """A checkpoint blob or dataset that eval and export-adj cannot use, or an
+    empty dataset given to train, exits 2 before any output."""
 
     MODEL = {"n_sensors": 3, "d_model": 4, "s4_depth": 1, "p_states": 2,
              "gsl": {"r": "full", "knn_k": 1, "heads": 1}}
@@ -578,13 +590,24 @@ class TestCheckpointContents:
         assert "JSON blob must be an object with a 'config' object" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "export-adj"])
+    # train-val and train-test give train an empty validation or test file:
+    # the first left config.json behind, the second trained and wrote a checkpoint
+    @pytest.mark.parametrize("command", ["eval", "export-adj", "train-val", "train-test"])
     def test_empty_dataset_exit_2(self, tmp_path, capsys, command):
         data, ckpt, out = tmp_path / "empty.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
         self.write_data(data, "binary", 1, n_records=0)
-        self.write_checkpoint(ckpt, "binary", 1)
-        assert main([command, "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(out)]) == 2
+        if command.startswith("train"):
+            full, config = tmp_path / "full.bsg1", tmp_path / "run.json"
+            self.write_data(full, "binary", 1)
+            paths = {"train": str(full), "val": str(full), "test": str(full),
+                     command.split("-")[1]: str(data)}
+            config.write_text(json.dumps({"model": self.MODEL, "data": paths,
+                                          "optim": {"epochs": 1, "warmup_epochs": 0}}))
+            argv = ["train", "--config", str(config), "--quiet"]
+        else:
+            self.write_checkpoint(ckpt, "binary", 1)
+            argv = [command, "--checkpoint", str(ckpt), "--data", str(data)]
+        assert main(argv + ["--out", str(out)]) == 2
         assert f"{data}: dataset has no records" in capsys.readouterr().err
         assert not out.exists()
 
@@ -709,6 +732,20 @@ class TestThreads:
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "0"] + self.PROFILE)
         assert exc.value.code == 2
+
+    def test_one_row_pool_per_process(self):
+        # a call with fewer blocks than threads once made a pool of its own
+        out = run_python("""
+import threading
+from ssmgraph import fftconv
+fftconv.FFT_WORKERS = 3
+assert fftconv._map_blocks(lambda i: i, 2) == [0, 1]
+assert fftconv._map_blocks(lambda i: i, 4) == [0, 1, 2, 3]
+rows = [t for t in threading.enumerate() if t.name.startswith("ssmgraph-rows")]
+print(fftconv._pool.cache_info().currsize, len(rows))
+""")
+        pools, threads = map(int, out.split())
+        assert pools == 1 and threads <= 2
 
     def test_flag_overrides_inherited_thread_variables(self):
         # numpy loads after the cap, so its OpenBLAS sizes its pool from the flag

@@ -8,8 +8,7 @@ import pytest
 
 from ssmgraph import data
 from ssmgraph.data import (Dataset, DatasetSpec, ParseError, SignalRecord,
-                           collate, gen_correlation_task, gen_longrange_task,
-                           generate, load_bsg1, marker_length, marker_template,
+                           collate, generate, load_bsg1, marker_length, marker_template,
                            save_bsg1, stratified_split, undersample_majority)
 
 
@@ -27,7 +26,7 @@ def long_spec(**kw):
 
 class TestCorrelationTask:
     def test_clique_correlation_in_active_half(self):
-        ds = gen_correlation_task(corr_spec(size=20))
+        ds = generate(corr_spec(size=20))
         clique = corr_spec().resolved_clique()
         half = 2048 // 2
         for rec in ds.records:
@@ -40,7 +39,7 @@ class TestCorrelationTask:
                     assert rho > 0.8, f"clique corr {rho:.3f}"
 
     def test_class0_cross_correlations_small(self):
-        ds = gen_correlation_task(corr_spec(size=16, t_len=2048))
+        ds = generate(corr_spec(size=16, t_len=2048))
         for rec in ds.records:
             if rec.y != 0:
                 continue
@@ -51,7 +50,7 @@ class TestCorrelationTask:
 
     def test_marginals_match_between_classes(self):
         # clique sensors' variance must not leak the label
-        ds = gen_correlation_task(corr_spec(size=200, t_len=512))
+        ds = generate(corr_spec(size=200, t_len=512))
         half = 256
         by_class = {0: [], 1: []}
         for rec in ds.records:
@@ -60,13 +59,13 @@ class TestCorrelationTask:
         assert abs(v0 - v1) / v0 < 0.1
 
     def test_same_seed_identical_bytes(self):
-        a = save_bsg1(gen_correlation_task(corr_spec()), None)
-        b = save_bsg1(gen_correlation_task(corr_spec()), None)
+        a = save_bsg1(generate(corr_spec()), None)
+        b = save_bsg1(generate(corr_spec()), None)
         assert a == b
 
     def test_different_seed_differs(self):
-        a = save_bsg1(gen_correlation_task(corr_spec(seed=1)), None)
-        b = save_bsg1(gen_correlation_task(corr_spec(seed=2)), None)
+        a = save_bsg1(generate(corr_spec(seed=1)), None)
+        b = save_bsg1(generate(corr_spec(seed=2)), None)
         assert a != b
 
 
@@ -108,7 +107,7 @@ class TestAr1:
 class TestLongrangeTask:
     def test_marker_region_is_one_percent(self):
         assert marker_length(4096) == 40
-        ds = gen_longrange_task(long_spec(size=6))
+        ds = generate(long_spec(size=6))
         m_len = marker_length(4096)
         template = marker_template(m_len)
         for rec in ds.records:
@@ -116,7 +115,7 @@ class TestLongrangeTask:
             assert abs(tail.mean()) < 0.1  # tail is plain noise for both classes
 
     def test_matched_filter_oracle_separates(self):
-        ds = gen_longrange_task(long_spec(size=60))
+        ds = generate(long_spec(size=60))
         m_len = marker_length(4096)
         template = marker_template(m_len)
         scores = np.array([rec.x[:, :m_len, 0].sum(axis=0) @ template for rec in ds.records])
@@ -128,7 +127,7 @@ class TestLongrangeTask:
         assert auroc == 1.0
 
     def test_zero_amplitude_null_task(self):
-        ds = gen_longrange_task(long_spec(size=100, marker_amplitude=0.0))
+        ds = generate(long_spec(size=100, marker_amplitude=0.0))
         m_len = marker_length(4096)
         template = marker_template(m_len)
         scores = np.array([rec.x[:, :m_len, 0].sum(axis=0) @ template for rec in ds.records])
@@ -197,16 +196,22 @@ class TestBsg1:
             np.testing.assert_array_equal(rec.x, orig.x)
             np.testing.assert_array_equal(rec.mask, orig.mask)
 
-    def test_version1_pads_to_longest_record(self, tmp_path, rng):
-        ds = self.short_records(rng)
-        raw = save_bsg1(ds, None)
-        # version 1: the same records without the u32 padded length at byte 12
+    def test_version1_rejected(self, tmp_path, rng):
+        raw = save_bsg1(self.short_records(rng), None)
         path = tmp_path / "v1.bsg1"
         path.write_bytes(raw[:4] + struct.pack("<II", 1, 2) + raw[16:])
-        loaded = load_bsg1(path)
-        for rec, orig in zip(loaded.records, ds.records):
-            np.testing.assert_array_equal(rec.x, orig.x[:, :10])
-            assert rec.true_length == orig.true_length
+        with pytest.raises(ParseError, match="unsupported version 1 at byte 4"):
+            load_bsg1(path)
+
+    @pytest.mark.parametrize("kind, classes", [(2, 5), (1, 33)], ids=["kind-2", "33-classes"])
+    def test_bad_label_block_reports_offset(self, tmp_path, rng, kind, classes):
+        raw = save_bsg1(self.short_records(rng), None)
+        # record 0's label block follows the 16-byte header and its 12-byte shape
+        path = tmp_path / "bad.bsg1"
+        path.write_bytes(raw[:28] + struct.pack("<II", kind, classes) + raw[36:])
+        with pytest.raises(ParseError, match=f"record 0 label block at byte 28: kind {kind} "
+                                             f"with {classes} classes"):
+            load_bsg1(path)
 
     def test_record_longer_than_padded_length_rejected(self, tmp_path, rng):
         raw = save_bsg1(self.short_records(rng), None)

@@ -254,24 +254,20 @@ class TestProfile:
         assert gsl_param_count(128) == 32768  # unchanged by n_d
 
 
-def checkpoint_bytes(model, version: int, params=None) -> bytes:
-    """The GS4M layout of each version: from version 3 a dtype tag follows each
-    tensor's shape and the tensor keeps the model's dtype; before it, there is
-    no tag and every tensor is stored as float32. ``params`` (default: all of
+def checkpoint_bytes(model, params=None) -> bytes:
+    """The GS4M version 3 layout: a dtype tag follows each tensor's shape and
+    the tensor keeps the model's dtype. ``params`` (default: all of
     ``named_parameters()``) are the (name, tensor) pairs written."""
     blob = json.dumps({"config": asdict(model.cfg)}, sort_keys=True).encode("utf-8")
     params = model.named_parameters() if params is None else params
-    parts = [b"GS4M", struct.pack("<II", version, len(blob)), blob,
+    parts = [b"GS4M", struct.pack("<II", 3, len(blob)), blob,
              struct.pack("<I", len(params))]
     for name, p in params:
         encoded = name.encode("utf-8")
         parts += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", p.ndim)]
         parts += [struct.pack("<I", dim) for dim in p.shape]
-        if version >= 3:
-            tag = {np.float32: b"f4", np.float64: b"f8"}[p.data.dtype.type]
-            parts += [tag, p.data.astype("<" + tag.decode()).tobytes()]
-        else:
-            parts.append(p.data.astype("<f4").tobytes())
+        tag = {np.float32: b"f4", np.float64: b"f8"}[p.data.dtype.type]
+        parts += [tag, p.data.astype("<" + tag.decode()).tobytes()]
     return b"".join(parts)
 
 
@@ -316,30 +312,14 @@ class TestCheckpoint:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_version_3_layout(self, dtype):
         model = build_model(desk_config(dtype=dtype), seed=5)
-        assert save_checkpoint(model, None) == checkpoint_bytes(model, 3)
+        assert save_checkpoint(model, None) == checkpoint_bytes(model)
 
-    def test_version_2_loads_as_float32(self, tmp_path):
-        model = build_model(desk_config(dtype="float64"), seed=5)
-        (tmp_path / "v2.gs4m").write_bytes(checkpoint_bytes(model, 2))
-        loaded, _ = load_checkpoint(tmp_path / "v2.gs4m")
-        for (_, p1), (_, p2) in zip(model.named_parameters(), loaded.named_parameters()):
-            np.testing.assert_array_equal(p2.data, p1.data.astype(np.float32))
-
-    def test_version_1_zeroes_reverse_skip(self, tmp_path):
-        # version 1 models never read core_rev.d_skip; version 2 adds it to the skip
-        model = build_model(desk_config(bidirectional=True), seed=5)
-        rev_skip = model.encoder.layers[0].core_rev.d_skip
-        assert np.all(rev_skip.data != 0)
-        (tmp_path / "v2.gs4m").write_bytes(checkpoint_bytes(model, 2))
-        (tmp_path / "v1.gs4m").write_bytes(checkpoint_bytes(model, 1))
-        v2, _ = load_checkpoint(tmp_path / "v2.gs4m")
-        v1, _ = load_checkpoint(tmp_path / "v1.gs4m")
-        for (name, p2), (_, p1) in zip(v2.named_parameters(), v1.named_parameters()):
-            if name.endswith("core_rev.d_skip"):
-                np.testing.assert_array_equal(p2.data, rev_skip.data.astype(np.float32))
-                np.testing.assert_array_equal(p1.data, 0.0)
-            else:
-                np.testing.assert_array_equal(p1.data, p2.data)
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_other_versions_rejected(self, tmp_path, version):
+        raw = checkpoint_bytes(build_model(desk_config(), seed=5))
+        (tmp_path / "old.gs4m").write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(tmp_path / "old.gs4m")
 
     def test_truncation_detected(self, tmp_path):
         model = build_model(desk_config(), seed=0)
@@ -359,7 +339,7 @@ class TestCheckpoint:
         model = build_model(desk_config(), seed=5)
         params = model.named_parameters()
         params = params[:1] if written == "first only" else params[:1] + params
-        (tmp_path / "bad.gs4m").write_bytes(checkpoint_bytes(model, 3, params))
+        (tmp_path / "bad.gs4m").write_bytes(checkpoint_bytes(model, params))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(tmp_path / "bad.gs4m")
 
