@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=os.environ.get("GS4_THREADS") or None,
                         help="threads of the S4 block's row pool, the calling thread "
                              "included (default: every CPU this process may run on); pocketfft "
-                             "runs single-threaded inside the pool, OpenBLAS once a pool of "
+                             "always runs single-threaded, OpenBLAS once a pool of "
                              "more than one thread has run, and results do not depend on the "
                              "count. Also caps OpenBLAS until then, and overrides inherited "
                              "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and "

@@ -116,10 +116,11 @@ class DataConfig:
             raise ConfigError("data: need either 'spec' or 'train'+'val' paths")
         if self.spec is None and self.split is not None:
             raise ConfigError("data.split: only a 'spec' is split; BSG1 paths are used as given")
-        if self.split is not None and (len(self.split) not in (2, 3)
-                                       or abs(sum(self.split) - 1.0) > 1e-9):
-            raise ConfigError(f"data.split: expected 2 or 3 fractions summing to 1, "
-                              f"got {self.split}")
+        split = self.split
+        if split is not None and (len(split) not in (2, 3) or abs(sum(split) - 1.0) > 1e-9
+                                  or not all(0.0 <= f <= 1.0 for f in split)):
+            raise ConfigError(f"data.split: expected 2 or 3 fractions in [0, 1] summing to 1, "
+                              f"got {split}")
 
     def load(self, seed: int) -> tuple:
         """(train, val, test) datasets; test is None without a third part."""

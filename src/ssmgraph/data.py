@@ -112,6 +112,10 @@ class DatasetSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.class_balance < 1.0:
             raise ValueError("class_balance must be in (0, 1)")
+        if not 0.0 <= self.clique_corr <= 1.0:
+            raise ValueError(f"clique_corr must be in [0, 1], got {self.clique_corr}")
+        if not np.isfinite(self.marker_amplitude):
+            raise ValueError(f"marker_amplitude must be finite, got {self.marker_amplitude}")
         if self.kind == "correlation" and self.n_sensors < 3:
             raise ValueError("correlation task needs n_sensors >= 3")
         if self.kind == "longrange" and self.t_len < 1024:
@@ -285,7 +289,8 @@ def _label_block(record: SignalRecord, task: str, n_classes: int) -> bytes:
 
 def save_bsg1(dataset: Dataset, path) -> bytes:
     """magic | u32 version | u32 record count | u32 padded length | per record:
-    u32 N, T, M | label block | f32 LE values row-major (sensor, time, feature).
+    u32 N, T, M | label block | f32 LE values row-major (sensor, time, feature),
+    each finite.
 
     T is each record's true length; the padded length is the longest record
     array, so every record loads back zero-padded to the length it had.
@@ -297,7 +302,10 @@ def save_bsg1(dataset: Dataset, path) -> bytes:
         t = rec.true_length
         parts.append(struct.pack("<III", n, t, m))
         parts.append(_label_block(rec, dataset.task, dataset.n_classes))
-        parts.append(rec.x[:, :t, :].astype("<f4").tobytes())
+        values = rec.x[:, :t, :].astype("<f4")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"record {rec.record_id!r}: values must be finite in float32")
+        parts.append(values.tobytes())
     raw = b"".join(parts)
     if path is not None:
         with open(path, "wb") as fh:
@@ -306,10 +314,17 @@ def save_bsg1(dataset: Dataset, path) -> bytes:
 
 
 def load_bsg1(path) -> Dataset:
-    """Parse a BSG1 file; errors report the byte offset and return nothing partial.
-    Records are zero-padded to the header's padded length."""
+    """Parse a BSG1 file, records zero-padded to the header's padded length;
+    errors, a non-finite value among them, name the file and byte offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _parse_bsg1(raw)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _parse_bsg1(raw: bytes) -> Dataset:
     off = 0
 
     def need(n: int, what: str) -> bytes:
@@ -340,6 +355,8 @@ def load_bsg1(path) -> Dataset:
                              f"of at most 32 classes)")
         rid = need(id_len, f"record {i} id").decode("utf-8")
         values = np.frombuffer(need(4 * n * t * m, f"record {i} values"), dtype="<f4")
+        if not np.all(np.isfinite(values)):
+            raise ParseError(f"record {i} values at byte {off - values.nbytes} are not all finite")
         rec_task = "multilabel" if kind == _KIND_BITMASK else (
             "binary" if classes == 2 else "multiclass")
         if not records:

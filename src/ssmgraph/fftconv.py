@@ -13,13 +13,14 @@ is independent through LayerNorm, the convolution and the GLU. The op runs
 them in fixed blocks of about ``_BLOCK_BYTES``, so a block's working set stays
 in cache, on ``worker_count()`` threads: the calling thread and a pool of
 helpers each take the next unclaimed block. The pool is the only parallel
-level: inside it pocketfft runs at ``workers=1``, and once it has run numpy's
-bundled OpenBLAS stays at one thread. The partition depends only on
-shapes, and each block repeats the whole-array arithmetic on its rows, so
-outputs and the input gradient do not depend on the block count. Parameter
-and kernel-spectrum gradients are summed per block and then over blocks in
-block order, whichever thread ran each block, so no result depends on the
-thread count; an activation of one block keeps the whole-array sums exactly.
+level: every transform, the kernels' too, runs pocketfft single-threaded,
+scipy's default, and once the pool has run numpy's bundled OpenBLAS stays
+at one thread. The partition depends only on shapes, and each block
+repeats the whole-array arithmetic on its rows, so outputs and the input
+gradient do not depend on the block count. Parameter and kernel-spectrum
+gradients are summed per block and then over blocks in block order,
+whichever thread ran each block, so no result depends on the thread count;
+an activation of one block keeps the whole-array sums exactly.
 
 The dropout keep-mask is drawn whole, up front, from the caller's generator,
 so the dropout stream is the one a whole-array op draws. For backward the op
@@ -175,9 +176,9 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
     # looked up once, on the caller's thread: a stand-in for scipy.fft is never
     # reached from a pool thread, yet sees every transform and its length n
     rfft, irfft = sfft.rfft, sfft.irfft
-    spec = rfft(k.data, n=n, axis=-2, workers=worker_count())
+    spec = rfft(k.data, n=n, axis=-2)
     if r is not None:
-        spec += np.conj(rfft(r.data, n=n, axis=-2, workers=worker_count()))
+        spec += np.conj(rfft(r.data, n=n, axis=-2))
     per = max(1, _BLOCK_BYTES // (length * d * x.data.itemsize))
     blocks = [slice(i, min(i + per, rows)) for i in range(0, rows, per)]
     out = np.empty(xr.shape, dtype)
@@ -197,8 +198,8 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
         z += beta.data
         if mr is not None:
             z *= mr[rs]
-        z_spec = rfft(z, n=n, axis=-2, workers=1)
-        y = np.ascontiguousarray(irfft(z_spec * spec, n=n, axis=-2, workers=1)[:, :length],
+        z_spec = rfft(z, n=n, axis=-2)
+        y = np.ascontiguousarray(irfft(z_spec * spec, n=n, axis=-2)[:, :length],
                                  dtype=x.dtype).reshape(-1, d)
         h = y @ w.data
         h += b.data
@@ -239,7 +240,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
             g_gate *= g_left
             g_gate *= left
             parts = {"w": y.T @ gh, "b": gh.sum(axis=0)}
-            g_spec = rfft((gh @ w.data.T).reshape(xhat.shape), n=n, axis=-2, workers=1)
+            g_spec = rfft((gh @ w.data.T).reshape(xhat.shape), n=n, axis=-2)
             if want_k:
                 total = None
                 for j in range(len(z_spec)):  # one row at a time, never all of conj(z_spec)
@@ -247,8 +248,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
                     total = term if total is None else np.add(total, term, out=total)
                 parts["spec"] = total
             g_spec *= np.conj(spec)
-            gz = np.ascontiguousarray(irfft(g_spec, n=n, axis=-2, workers=1)[:, :length],
-                                      dtype=x.dtype)
+            gz = np.ascontiguousarray(irfft(g_spec, n=n, axis=-2)[:, :length], dtype=x.dtype)
             if mr is not None:
                 gz *= mr[rs]
             scratch = gz * xhat
@@ -275,8 +275,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
             prod = summed("spec")
 
             def inverse(spectrum):
-                return np.ascontiguousarray(
-                    irfft(spectrum, n=n, axis=-2, workers=worker_count())[:length])
+                return np.ascontiguousarray(irfft(spectrum, n=n, axis=-2)[:length])
 
             if k.requires_grad:
                 k._accum(inverse(prod), owned=True)

@@ -6,12 +6,13 @@ weights, a cosine-similarity KNN graph is mixed in, weak edges are pruned,
 and the result is symmetrized. Three regularizers (Dirichlet smoothness,
 log-degree connectivity, Frobenius sparsity) shape the learned graphs.
 
-Each graph stage is one pass where the arithmetic allows: the KNN peers are
-k first-occurrence ``argmax`` passes (ties go to the lower index, as in a
-stable sort), the attention ends in one scale-softmax-head-mean tape op, and
-mixing, pruning and symmetrizing are one tape op. The fused ops repeat the
-elementary ops' arithmetic in the same order, with constants in the graph's
-dtype, so graphs and gradients equal the unfused composition bit for bit.
+Each stage is one pass where the arithmetic allows: k first-occurrence
+``argmax`` passes pick the KNN peers (ties go to the lower index, as in a
+stable sort); one tape op scales, softmaxes and head-averages the attention;
+one mixes, prunes and symmetrizes; one gives the regularizers of each graph.
+The attention and finalize ops repeat the elementary ops' arithmetic in the
+same order, with constants in the graph's dtype, so graphs and gradients
+equal the unfused composition bit for bit.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class GslConfig:
                 raise ContractError(f"r must be a positive int or '{FULL_INTERVAL}', got {self.r!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ContractError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.kappa < 0.0:
-            raise ContractError(f"kappa must be >= 0, got {self.kappa}")
+        if not 0.0 <= self.kappa < np.inf:
+            raise ContractError(f"kappa must be finite and >= 0, got {self.kappa}")
         if self.knn_k < 1:
             raise ContractError(f"knn_k must be >= 1, got {self.knn_k}")
         if self.heads < 1:
@@ -194,41 +195,42 @@ def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: 
     return T._record(out_data, (w_bar,), bwd)
 
 
-def _guarded_degree(w: Tensor) -> Tensor:
-    """Row-sum degrees with isolated nodes bumped to DEG_EPS (values only)."""
-    deg = w.sum(axis=-1)
-    bump = (deg.data == 0.0) * DEG_EPS
-    return deg + Tensor(bump.astype(w.dtype))
-
-
-def smoothness_loss(h: Tensor, w: Tensor) -> Tensor:
-    """Dirichlet energy under the normalized Laplacian, scaled by 1/N^2.
-
-    tr(h^T L_hat h) with L_hat = D^{-1/2} (D - W) D^{-1/2}; isolated nodes use
-    degree DEG_EPS in the normalization. Works on (..., N, D) / (..., N, N)
-    stacks, returning one value per graph.
-    """
+def graph_regularizers(h, w) -> Tensor:
+    """Smoothness, degree and sparsity per graph: h (..., N, D), W (..., N, N)
+    -> (..., 3). With deg W's row sums, g the guarded degrees (DEG_EPS at an
+    isolated node, a bump with no gradient) and y = g^{-1/2} h: smoothness
+    (sum_i deg_i |y_i|^2 - sum_ij W_ij y_i.y_j) / N^2, the normalized-Laplacian
+    Dirichlet energy; degree -mean_i log g_i; sparsity |W|_F^2 / N^2. For output
+    gradients (a, b, c) and dY = 2 deg y - (W + W^T) y, h gets a dY g^{-1/2} / N^2
+    and W_ij a (|y_i|^2 - y_i.y_j - dY_i.y_i / 2g_i) / N^2 - b / (N g_i) + 2c W_ij / N^2."""
+    h, w = T.as_tensor(h), T.as_tensor(w)
     n = w.shape[-1]
-    deg = w.sum(axis=-1)                                  # raw degrees
-    inv_sqrt = T.power_scalar(_guarded_degree(w), -0.5)   # (..., N)
-    y = h * inv_sqrt.reshape(inv_sqrt.shape + (1,))
-    term_deg = (deg * (y * y).sum(axis=-1)).sum(axis=-1)
-    nd = y.ndim
-    term_adj = (w * (y @ y.transpose((*range(nd - 2), nd - 1, nd - 2)))).sum(axis=(-1, -2))
-    return (term_deg - term_adj) / float(n * n)
+    if w.shape[-2:] != (n, n) or h.shape[:-1] != w.shape[:-1]:
+        raise ShapeError(f"embeddings {h.shape} and graphs {w.shape} misaligned")
+    nn = float(n * n)
+    deg = w.data.sum(axis=-1)
+    guard = deg + ((deg == 0.0) * DEG_EPS).astype(w.dtype)
+    inv_sqrt = guard ** -0.5
+    y = h.data * inv_sqrt[..., None]
+    sq = (y * y).sum(axis=-1)
+    yy = y @ np.swapaxes(y, -1, -2)
+    out = np.stack([((deg * sq).sum(axis=-1) - (w.data * yy).sum(axis=(-1, -2))) / nn,
+                    np.log(guard).sum(axis=-1) / float(-n),
+                    (w.data * w.data).sum(axis=(-1, -2)) / nn], axis=-1)
 
+    def bwd(g):
+        a = g[..., :1] / nn                                   # (..., 1)
+        d_y = (deg + deg)[..., None] * y
+        d_y -= (w.data + np.swapaxes(w.data, -1, -2)) @ y
+        if h.requires_grad:
+            h._accum(d_y * (a * inv_sqrt)[..., None], owned=True)
+        if w.requires_grad:
+            row = a * (sq - (d_y * y).sum(axis=-1) / (guard + guard)) - g[..., 1:2] / (guard * n)
+            gw = w.data * (g[..., 2:] * (2.0 / nn))[..., None] - yy * a[..., None]
+            gw += row[..., None]
+            w._accum(gw, owned=True)
 
-def degree_loss(w: Tensor) -> Tensor:
-    """Connectivity penalty -(1/N) sum_i log(degree_i); isolated nodes
-    contribute -log(DEG_EPS), keeping the value finite."""
-    n = w.shape[-1]
-    return T.log(_guarded_degree(w)).sum(axis=-1) / float(-n)
-
-
-def sparsity_loss(w: Tensor) -> Tensor:
-    """Squared Frobenius norm over N^2; discourages dense, heavy rows."""
-    n = w.shape[-1]
-    return (w * w).sum(axis=(-1, -2)) / float(n * n)
+    return T._record(out, (h, w), bwd)
 
 
 def reg_loss_total(w: Tensor, pooled: Tensor, weights: RegWeights) -> Tensor:
@@ -238,10 +240,8 @@ def reg_loss_total(w: Tensor, pooled: Tensor, weights: RegWeights) -> Tensor:
     """
     if w.shape[:-2] != pooled.shape[:-2]:
         raise ContractError(f"graphs {w.shape[:-2]} and pooled {pooled.shape[:-2]} misaligned")
-    per_graph = (smoothness_loss(pooled, w) * weights.alpha
-                 + degree_loss(w) * weights.beta
-                 + sparsity_loss(w) * weights.gamma)
-    return per_graph.mean()
+    coef = Tensor([weights.alpha, weights.beta, weights.gamma], dtype=w.dtype)
+    return (graph_regularizers(pooled, w) * coef).sum(axis=-1).mean()
 
 
 class GslLayer(Module):

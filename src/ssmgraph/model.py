@@ -79,8 +79,9 @@ class ModelConfig:
             raise ContractError(f"knn_k must be in [1, {self.n_sensors - 1}]")
         if self.dtype not in ("float32", "float64"):
             raise ContractError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if not 0.0 < self.dt_min <= self.dt_max:
-            raise ContractError(f"need 0 < dt_min <= dt_max, got [{self.dt_min}, {self.dt_max}]")
+        if not 0.0 < self.dt_min <= self.dt_max < np.inf:
+            raise ContractError(f"need 0 < dt_min <= dt_max < inf, "
+                                f"got [{self.dt_min}, {self.dt_max}]")
         if self.fixed_graph is not None:
             g = np.asarray(self.fixed_graph, dtype=float)
             if g.shape != (self.n_sensors, self.n_sensors):

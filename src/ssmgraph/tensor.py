@@ -388,26 +388,6 @@ def div(a, b) -> Tensor:
     return _record(out_data, (a, b), bwd)
 
 
-def power_scalar(a, p: float) -> Tensor:
-    """Elementwise x**p for a constant real exponent."""
-    a = as_tensor(a)
-    out_data = a.data ** p
-
-    def bwd(g):
-        a._accum(g * p * a.data ** (p - 1.0), owned=True)
-
-    return _record(out_data, (a,), bwd)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        a._accum(g / a.data, owned=True)
-
-    return _record(np.log(a.data), (a,), bwd)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.maximum(a.data, 0.0)

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import ssmgraph.tensor as tensor_mod  # noqa: E402
 from ssmgraph.fftconv import _next_pow2  # noqa: E402
+from ssmgraph.graphlearn import DEG_EPS  # noqa: E402
 from ssmgraph.tensor import Tensor, _record, _sigmoid  # noqa: E402
 
 
@@ -179,3 +180,20 @@ def block_direct(x, k, k_rev, params, mask=None) -> np.ndarray:
                 y[..., t, :] += k_rev[s] * z[..., t + s, :]
     h = y @ w + b
     return x + h[..., :d] / (1.0 + np.exp(-h[..., d:]))
+
+
+def graph_regularizers_reference(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Smoothness, degree and sparsity per graph in float64 from their
+    formulas, the oracle of ``graphlearn.graph_regularizers``:
+    tr(h^T L_hat h) / N^2 with L_hat = G^{-1/2} (D - W) G^{-1/2}, D the row
+    sums of W and G the same with DEG_EPS at isolated nodes; -mean(log G);
+    sum(W^2) / N^2."""
+    h, w = np.asarray(h, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    n = w.shape[-1]
+    deg = w.sum(axis=-1)
+    guarded = np.where(deg == 0.0, DEG_EPS, deg)
+    s = guarded ** -0.5
+    l_hat = s[..., :, None] * (deg[..., None] * np.eye(n) - w) * s[..., None, :]
+    smooth = np.einsum("...id,...ij,...jd->...", h, l_hat, h) / n ** 2
+    return np.stack([smooth, -np.log(guarded).mean(axis=-1), (w * w).sum(axis=(-1, -2)) / n ** 2],
+                    axis=-1)

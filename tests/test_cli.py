@@ -85,6 +85,23 @@ class TestGenData:
         assert f"{flag[2:].replace('-', '_')} must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    # each wrote NaN or infinite records and exited 0
+    @pytest.mark.parametrize("kind, flag, value, message", [
+        ("correlation", "--clique-corr", "2", "clique_corr must be in [0, 1], got 2.0"),
+        ("correlation", "--clique-corr", "-0.5", "clique_corr must be in [0, 1], got -0.5"),
+        ("longrange", "--marker-amplitude", "inf", "marker_amplitude must be finite, got inf"),
+        ("longrange", "--marker-amplitude", "nan", "marker_amplitude must be finite, got nan"),
+    ])
+    def test_bad_spec_value_exit_2(self, tmp_path, capsys, kind, flag, value, message):
+        out = tmp_path / "d.bsg1"
+        argv = ["gen-data", "--kind", kind, "--out", str(out), "--size", "4", "--t-len", "1024",
+                flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_train_writes_artifacts(self, tiny_run):
@@ -449,6 +466,20 @@ class TestErrors:
         (None, ["model.s4_depth=0"], "model: s4_depth must be >= 1, got 0"),
         (None, ["model.s4_depth=-1"], "model: s4_depth must be >= 1, got -1"),
         (None, ["model.input_dim=0"], "model: input_dim must be >= 1, got 0"),
+        # an OverflowError traceback (exit 1), or a run with every edge pruned (exit 0)
+        (None, ["model.dt_max=Infinity"], "model: need 0 < dt_min <= dt_max < inf, got [0.01, inf]"),
+        (None, ["model.gsl.kappa=NaN"], "model.gsl: kappa must be finite and >= 0, got nan"),
+        (None, ["model.gsl.kappa=Infinity"], "model.gsl: kappa must be finite and >= 0, got inf"),
+        # each passed the sum check, then blamed an empty data.val
+        (None, ["data.split=[1.5,-0.5]"],
+         "data.split: expected 2 or 3 fractions in [0, 1] summing to 1, got [1.5, -0.5]"),
+        (None, ["data.split=[0.5,NaN,0.5]"],
+         "data.split: expected 2 or 3 fractions in [0, 1] summing to 1, got [0.5, nan, 0.5]"),
+        # each generated non-finite records and trained on them
+        (None, ["data.spec.clique_corr=2"], "data.spec: clique_corr must be in [0, 1], got 2"),
+        (None, ["data.spec.clique_corr=-0.5"], "data.spec: clique_corr must be in [0, 1], got -0.5"),
+        (None, ["data.spec.marker_amplitude=Infinity"],
+         "data.spec: marker_amplitude must be finite, got inf"),
     ])
     def test_bad_run_config_exit_2(self, tiny_run, capsys, config, overrides, message):
         tmp_path, cfg_path, _ = tiny_run
@@ -458,7 +489,10 @@ class TestErrors:
         for override in overrides:
             argv += ["--set", override]
         assert main(argv) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["gradcheck", "--step", "0"], "--step"),
@@ -609,6 +643,35 @@ class TestCheckpointContents:
             argv = [command, "--checkpoint", str(ckpt), "--data", str(data)]
         assert main(argv + ["--out", str(out)]) == 2
         assert f"{data}: dataset has no records" in capsys.readouterr().err
+        assert not out.exists()
+
+    # eval wrote metrics.json from NaN scores, and train trained on a NaN
+    # validation file, each exiting 0
+    @pytest.mark.parametrize("command", ["eval", "train-val"])
+    def test_nonfinite_values_exit_2(self, tmp_path, capsys, command):
+        import struct
+
+        data, ckpt, out = tmp_path / "nan.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
+        self.write_data(data, "binary", 1)
+        # 16-byte header; each record: 12-byte shape, 16-byte label block, a
+        # 2-byte id and 48 float32 values, so record 1's values start at 268
+        raw = bytearray(data.read_bytes())
+        raw[276:280] = struct.pack("<f", np.nan)
+        data.write_bytes(bytes(raw))
+        if command == "train-val":
+            full, config = tmp_path / "full.bsg1", tmp_path / "run.json"
+            self.write_data(full, "binary", 1)
+            config.write_text(json.dumps({"model": self.MODEL,
+                                          "data": {"train": str(full), "val": str(data)},
+                                          "optim": {"epochs": 1, "warmup_epochs": 0}}))
+            argv = ["train", "--config", str(config), "--quiet"]
+        else:
+            self.write_checkpoint(ckpt, "binary", 1)
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: record 1 values at byte 268 are not all finite" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

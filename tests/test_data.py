@@ -232,6 +232,27 @@ class TestBsg1:
         assert loaded.task == "multilabel"
         np.testing.assert_array_equal(loaded.records[0].y, y)
 
+    def test_nonfinite_values_rejected(self, tmp_path, rng):
+        ds = self.short_records(rng)
+        raw = bytearray(save_bsg1(ds, None))
+        # record 0's values follow the header, its shape, label block and 2-byte id
+        raw[46:50] = struct.pack("<f", np.inf)
+        path = tmp_path / "inf.bsg1"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match=f"{path}: record 0 values at byte 46 are not all "
+                                             f"finite"):
+            load_bsg1(path)
+
+    @pytest.mark.parametrize("value", [np.nan, 1e39])  # 1e39 overflows float32
+    def test_save_refuses_nonfinite_values(self, tmp_path, rng, value):
+        ds = self.short_records(rng)
+        ds.records[1].x[0, 3, 0] = value
+        path = tmp_path / "bad.bsg1"
+        with pytest.raises(ValueError, match="record 'r1': values must be finite in float32"), \
+                np.errstate(over="ignore"):
+            save_bsg1(ds, path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bsg1"
         p.write_bytes(b"NOPE" + b"\x00" * 16)

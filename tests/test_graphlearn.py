@@ -4,15 +4,15 @@ pruning/symmetrization, and the three regularizers."""
 import numpy as np
 import pytest
 
+from conftest import graph_regularizers_reference
 from ssmgraph import tensor as T
 from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.graphlearn import (DEG_EPS, GslConfig, GslLayer, RegWeights,
-                                 attention_adjacency, degree_loss,
-                                 finalize_adjacency, interval_mean_pool,
+                                 attention_adjacency, finalize_adjacency,
+                                 graph_regularizers, interval_mean_pool,
                                  knn_graph_cosine, num_intervals,
-                                 reg_loss_total, smoothness_loss,
-                                 sparsity_loss, write_adjacency_csv)
-from ssmgraph.tensor import ContractError, Tape, Tensor
+                                 reg_loss_total, write_adjacency_csv)
+from ssmgraph.tensor import ContractError, ShapeError, Tape, Tensor
 
 
 def knn_graph_argsort(h, k):
@@ -311,47 +311,84 @@ class TestFinalizeAdjacency:
         assert np.all(w_bar.grad[mixed < kappa] == 0.0)  # pruned entries pass no gradient
 
 
+def regularizer_columns(h, w) -> np.ndarray:
+    return graph_regularizers(Tensor(h), Tensor(w)).data
+
+
 class TestRegularizers:
+    # columns of graph_regularizers: 0 smoothness, 1 degree, 2 sparsity
     def test_smoothness_constant_features_zero(self, rng):
         # equal degrees put the constant vector in the normalized-Laplacian
         # null space; a symmetric circulant graph is degree-regular
         row = rng.uniform(0.1, 1.0, size=5)
         row = (row + np.roll(row[::-1], 1)) / 2  # c[k] == c[N-k] keeps W symmetric
-        w = Tensor(np.array([np.roll(row, i) for i in range(5)]))
-        np.testing.assert_allclose(w.data, w.data.T, atol=1e-15)
-        h = Tensor(np.tile([1.7, -0.3, 2.2], (5, 1)))
-        assert abs(smoothness_loss(h, w).item()) <= 1e-12
+        w = np.array([np.roll(row, i) for i in range(5)])
+        np.testing.assert_allclose(w, w.T, atol=1e-15)
+        h = np.tile([1.7, -0.3, 2.2], (5, 1))
+        assert abs(regularizer_columns(h, w)[0]) <= 1e-12
 
     def test_smoothness_empty_graph_zero(self, rng):
-        h = Tensor(rng.normal(size=(4, 3)))
-        assert smoothness_loss(h, Tensor(np.zeros((4, 4)))).item() == 0.0
+        h = rng.normal(size=(4, 3))
+        assert regularizer_columns(h, np.zeros((4, 4)))[0] == 0.0
 
     def test_smoothness_hand_case(self):
         # W=[[0,1],[1,0]], h=[[1],[0]]: L_hat=[[1,-1],[-1,1]], tr = 1 -> 1/4
-        w = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        h = Tensor(np.array([[1.0], [0.0]]))
-        np.testing.assert_allclose(smoothness_loss(h, w).item(), 0.25, atol=1e-12)
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = np.array([[1.0], [0.0]])
+        np.testing.assert_allclose(regularizer_columns(h, w)[0], 0.25, atol=1e-12)
 
     def test_degree_all_ones(self):
-        w = Tensor(np.ones((2, 2)))
-        np.testing.assert_allclose(degree_loss(w).item(), -np.log(2.0), atol=1e-10)
+        np.testing.assert_allclose(regularizer_columns(np.zeros((2, 1)), np.ones((2, 2)))[1],
+                                   -np.log(2.0), atol=1e-10)
 
     def test_degree_zero_row_finite_large(self):
-        w = Tensor(np.array([[0.0, 0.0], [0.0, 1.0]]))
-        val = degree_loss(w).item()
+        w = np.array([[0.0, 0.0], [0.0, 1.0]])
+        val = regularizer_columns(np.zeros((2, 1)), w)[1]
         assert np.isfinite(val) and val > 5.0
         np.testing.assert_allclose(val, -(np.log(DEG_EPS) + np.log(1.0)) / 2, atol=1e-12)
 
     def test_degree_scaling_shift(self, rng):
         w_data = rng.uniform(0.1, 1.0, size=(4, 4))
-        base = degree_loss(Tensor(w_data)).item()
-        scaled = degree_loss(Tensor(3.5 * w_data)).item()
+        h = np.zeros((4, 1))
+        base = regularizer_columns(h, w_data)[1]
+        scaled = regularizer_columns(h, 3.5 * w_data)[1]
         np.testing.assert_allclose(scaled, base - np.log(3.5), atol=1e-12)
 
     def test_sparsity_values(self):
-        assert sparsity_loss(Tensor(np.eye(2))).item() == 0.5
-        assert sparsity_loss(Tensor(np.zeros((3, 3)))).item() == 0.0
-        assert sparsity_loss(Tensor(np.ones((4, 4)))).item() == 1.0
+        assert regularizer_columns(np.zeros((2, 1)), np.eye(2))[2] == 0.5
+        assert regularizer_columns(np.zeros((3, 1)), np.zeros((3, 3)))[2] == 0.0
+        assert regularizer_columns(np.zeros((4, 1)), np.ones((4, 4)))[2] == 1.0
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_columns_match_reference(self, rng, symmetric):
+        # node 1 of every graph and node 3 of the first are isolated
+        w = rng.uniform(0.0, 1.0, size=(2, 3, 6, 6))
+        if symmetric:
+            w = (w + np.swapaxes(w, -1, -2)) / 2
+        w[..., 1, :] = 0.0
+        w[..., :, 1] = 0.0
+        w[0, :, 3, :] = 0.0
+        h = rng.normal(size=(2, 3, 6, 4))
+        np.testing.assert_allclose(regularizer_columns(h, w), graph_regularizers_reference(h, w),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            graph_regularizers(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 4))))
+        with pytest.raises(ShapeError):
+            graph_regularizers(Tensor(np.ones((4, 2))), Tensor(np.ones((3, 3))))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradcheck(self, seed):
+        # no isolated node: the DEG_EPS guard is not differentiable at deg == 0
+        rng = np.random.default_rng(seed)
+        w = Tensor(rng.uniform(0.2, 1.0, size=(2, 5, 5)), requires_grad=True)
+        h = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        coef = Tensor(rng.normal(size=(2, 3)))
+
+        worst, per = backward_and_gradcheck(
+            lambda: (graph_regularizers(h, w) * coef).sum(), {"w": w, "h": h})
+        assert worst <= 1e-6, per
 
     def test_reg_total_zero_weights(self, rng):
         w = Tensor(rng.uniform(0.1, 1.0, size=(1, 2, 3, 3)))
@@ -364,9 +401,8 @@ class TestRegularizers:
         h_data = rng.normal(size=(3, 4))
         weights = RegWeights(alpha=0.3, beta=0.2, gamma=0.5)
         total = reg_loss_total(Tensor(w_data[None, None]), Tensor(h_data[None, None]), weights)
-        direct = (0.3 * smoothness_loss(Tensor(h_data), Tensor(w_data)).item()
-                  + 0.2 * degree_loss(Tensor(w_data)).item()
-                  + 0.5 * sparsity_loss(Tensor(w_data)).item())
+        smooth, degree, sparsity = regularizer_columns(h_data, w_data)
+        direct = 0.3 * smooth + 0.2 * degree + 0.5 * sparsity
         np.testing.assert_allclose(total.item(), direct, atol=1e-12)
 
     def test_reg_total_two_graph_mean(self):
@@ -383,14 +419,24 @@ class TestRegularizers:
             reg_loss_total(Tensor(np.ones((1, 2, 3, 3))), Tensor(np.ones((1, 3, 3, 4))),
                            RegWeights(gamma=1.0))
 
+    def test_reg_total_records_four_ops(self, rng):
+        # the regularizer op, the weighting, the sum over terms and the mean
+        w = Tensor(rng.uniform(0.1, 1.0, size=(2, 3, 4, 4)), requires_grad=True)
+        h = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        loss = reg_loss_total(w, h, RegWeights(alpha=0.3, beta=0.2, gamma=0.5))
+        assert len(Tape.trace(loss).ops) == 4
+
     def test_regularizer_gradients(self, rng):
         w = Tensor(rng.uniform(0.2, 1.0, size=(4, 4)), requires_grad=True)
         h = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
+        def column(i, graph):
+            return (graph_regularizers(h, graph) * Tensor(np.eye(3)[i])).sum()
+
         for fn, leaves in (
-            (lambda: smoothness_loss(h, (w + w.transpose((1, 0))) * 0.5), {"w": w, "h": h}),
-            (lambda: degree_loss(w), {"w": w}),
-            (lambda: sparsity_loss(w), {"w": w}),
+            (lambda: column(0, (w + w.transpose((1, 0))) * 0.5), {"w": w, "h": h}),
+            (lambda: column(1, w), {"w": w}),
+            (lambda: column(2, w), {"w": w}),
         ):
             worst, per = backward_and_gradcheck(fn, leaves)
             assert worst <= 1e-5, per

