@@ -117,7 +117,9 @@ class DataConfig:
         if self.spec is None and self.split is not None:
             raise ConfigError("data.split: only a 'spec' is split; BSG1 paths are used as given")
         split = self.split
-        if split is not None and (len(split) not in (2, 3) or abs(sum(split) - 1.0) > 1e-9
+        if split is not None and (len(split) not in (2, 3)
+                                  or not all(type(f) in (int, float) for f in split)
+                                  or abs(sum(split) - 1.0) > 1e-9
                                   or not all(0.0 <= f <= 1.0 for f in split)):
             raise ConfigError(f"data.split: expected 2 or 3 fractions in [0, 1] summing to 1, "
                               f"got {split}")

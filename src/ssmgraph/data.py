@@ -320,7 +320,7 @@ def load_bsg1(path) -> Dataset:
         raw = fh.read()
     try:
         return _parse_bsg1(raw)
-    except ParseError as exc:
+    except ValueError as exc:  # a record id that is not UTF-8 among them
         raise ParseError(f"{path}: {exc}") from None
 
 

@@ -242,11 +242,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
             parts = {"w": y.T @ gh, "b": gh.sum(axis=0)}
             g_spec = rfft((gh @ w.data.T).reshape(xhat.shape), n=n, axis=-2)
             if want_k:
-                total = None
-                for j in range(len(z_spec)):  # one row at a time, never all of conj(z_spec)
-                    term = np.conj(z_spec[j]) * g_spec[j]
-                    total = term if total is None else np.add(total, term, out=total)
-                parts["spec"] = total
+                parts["spec"] = (np.conj(z_spec) * g_spec).sum(axis=0)
             g_spec *= np.conj(spec)
             gz = np.ascontiguousarray(irfft(g_spec, n=n, axis=-2)[:, :length], dtype=x.dtype)
             if mr is not None:

@@ -271,9 +271,17 @@ class CheckpointError(ValueError):
 
 def load_checkpoint(path) -> tuple[SsmGraphModel, dict]:
     """Rebuild a model from a checkpoint, which must set every parameter
-    exactly once; returns (model, extra-metadata)."""
+    exactly once; returns (model, extra-metadata). Errors, a bad JSON blob or
+    embedded config among them, name the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _parse_checkpoint(raw)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(raw: bytes) -> tuple[SsmGraphModel, dict]:
     off = 0
 
     def need(n: int) -> bytes:

@@ -5,12 +5,10 @@ A core holds the continuous-time parameters (A, B, C, D, dt) for a bank of
 ``d`` independent scalar-input/scalar-output systems, each with ``p`` complex
 states. Re(A) is stored in log space so the continuous system stays stable
 under unconstrained optimization, which keeps |a_bar| < 1 after the bilinear
-map. The discrete system can run two ways:
-
-* the impulse response as a kernel + FFT convolution (the trainable path):
-  ``materialize_kernel`` is one tape op whose tap 0 carries the skip term
-  D, as in S4D (Gu et al., arXiv 2206.11893), or
-* a step-by-step recurrent scan (the value-level oracle path).
+map. The discrete system runs as its impulse response, a kernel that enters
+an FFT convolution: ``materialize_kernel`` is one tape op whose tap 0 carries
+the skip term D, as in S4D (Gu et al., arXiv 2206.11893). The step-by-step
+recurrent scan it equals is the tests' oracle (``tests/conftest.py``).
 
 The kernel's Vandermonde powers a_bar^t are computed the way numpy's
 ``a_bar ** t`` computes them, so they are bit-identical to it. numpy raises
@@ -153,10 +151,8 @@ def materialize_kernel(core: SsmCore, length: int) -> Tensor:
     def bwd(g):
         g64 = np.ascontiguousarray(g.T, dtype=np.float64)     # (d, L)
         s = np.einsum("dl,dpl->dp", g64, powers)              # sum_t g a_bar^t
-        tpow = np.zeros_like(powers)
-        if length > 1:
-            tpow[:, :, 1:] = powers[:, :, :-1] * np.arange(1, length)
-        t_mom = np.einsum("dl,dpl->dp", g64, tpow)            # sum_t g t a_bar^(t-1)
+        t_mom = np.einsum("dl,dpl->dp", g64[:, 1:] * np.arange(1, length),
+                          powers[:, :, :-1])                  # sum_t g t a_bar^(t-1)
 
         den2 = den * den
         gc = b_bar * s
@@ -178,28 +174,6 @@ def materialize_kernel(core: SsmCore, length: int) -> Tensor:
                 param._accum(grads[name])
 
     return _record(out_data.T, [p for _, p in params], bwd)
-
-
-def ssm_scan_recurrent(core: SsmCore, u: np.ndarray) -> np.ndarray:
-    """Step-by-step recurrence x_t = a_bar*x + b_bar*u_t, y_t = Re(c x_t) + d_skip*u_t.
-
-    ``u`` may be (L,), applied to every feature, or (d, L). Returns (d, L).
-    Ground-truth oracle for the kernel/convolution path; values only.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        u = np.broadcast_to(u, (core.d, u.shape[0]))
-    if u.shape[0] != core.d:
-        raise ShapeError(f"scan input rows {u.shape[0]} != d={core.d}")
-    length = u.shape[1]
-    _, _, c, _, _, a_bar, b_bar = _bilinear(core)
-    d_skip = core.d_skip.data.astype(np.float64)
-    y = np.zeros((core.d, length))
-    x = np.zeros((core.d, core.p), dtype=np.complex128)
-    for t in range(length):
-        x = a_bar * x + b_bar * u[:, t:t + 1]
-        y[:, t] = (c * x).sum(axis=1).real + d_skip * u[:, t]
-    return y
 
 
 class S4Layer(Module):

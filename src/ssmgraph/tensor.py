@@ -401,33 +401,17 @@ def relu(a) -> Tensor:
 # -- linear algebra and shape -------------------------------------------
 
 
-def _flat_matmul(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(..., m, k) @ (k, n) as a single 2-D GEMM."""
-    lead = lhs.shape[:-1]
-    return (lhs.reshape(-1, lhs.shape[-1]) @ rhs).reshape(lead + (rhs.shape[1],))
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul requires at least 2-D operands")
-    # stacked-lhs x plain-matrix is the hot path; one GEMM beats a batch loop
-    flat = a.ndim > 2 and b.ndim == 2
-    out_data = _flat_matmul(a.data, b.data) if flat else a.data @ b.data
+    out_data = a.data @ b.data
 
     def bwd(g):
         if a.requires_grad:
-            if flat:
-                ga = _flat_matmul(g, b.data.T)
-            else:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accum(_unbroadcast(ga, a.shape), owned=True)
+            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), owned=True)
         if b.requires_grad:
-            if flat:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accum(_unbroadcast(gb, b.shape), owned=True)
+            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), owned=True)
 
     return _record(out_data, (a, b), bwd)
 

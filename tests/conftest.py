@@ -10,7 +10,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import ssmgraph.tensor as tensor_mod  # noqa: E402
 from ssmgraph.fftconv import _next_pow2  # noqa: E402
 from ssmgraph.graphlearn import DEG_EPS  # noqa: E402
-from ssmgraph.tensor import Tensor, _record, _sigmoid  # noqa: E402
+from ssmgraph.s4 import _bilinear  # noqa: E402
+from ssmgraph.tensor import ShapeError, Tensor, _record, _sigmoid  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +37,28 @@ def conv_direct(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         for s in range(t + 1):
             out[..., t] += kernel[..., s] * signal[..., t - s]
     return out
+
+
+def ssm_scan_recurrent(core, u: np.ndarray) -> np.ndarray:
+    """Step-by-step recurrence x_t = a_bar*x + b_bar*u_t, y_t = Re(c x_t) + d_skip*u_t.
+
+    ``u`` may be (L,), applied to every feature, or (d, L). Returns (d, L).
+    Ground-truth oracle for the kernel/convolution path; values only.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim == 1:
+        u = np.broadcast_to(u, (core.d, u.shape[0]))
+    if u.shape[0] != core.d:
+        raise ShapeError(f"scan input rows {u.shape[0]} != d={core.d}")
+    length = u.shape[1]
+    _, _, c, _, _, a_bar, b_bar = _bilinear(core)
+    d_skip = core.d_skip.data.astype(np.float64)
+    y = np.zeros((core.d, length))
+    x = np.zeros((core.d, core.p), dtype=np.complex128)
+    for t in range(length):
+        x = a_bar * x + b_bar * u[:, t:t + 1]
+        y[:, t] = (c * x).sum(axis=1).real + d_skip * u[:, t]
+    return y
 
 
 # -- the S4 block as separate ops: the oracle of fftconv.conv1d_fft ----------

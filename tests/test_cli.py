@@ -480,6 +480,9 @@ class TestErrors:
         (None, ["data.spec.clique_corr=-0.5"], "data.spec: clique_corr must be in [0, 1], got -0.5"),
         (None, ["data.spec.marker_amplitude=Infinity"],
          "data.spec: marker_amplitude must be finite, got inf"),
+        # Python's TypeError from the sum, naming only the section
+        (None, ['data.split=["a",0.5]'],
+         "data.split: expected 2 or 3 fractions in [0, 1] summing to 1, got ['a', 0.5]"),
     ])
     def test_bad_run_config_exit_2(self, tiny_run, capsys, config, overrides, message):
         tmp_path, cfg_path, _ = tiny_run
@@ -554,6 +557,15 @@ class TestErrors:
         assert rc == 2
 
 
+def splice_blob(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes ``raw`` with its JSON blob replaced by ``edit(blob)``."""
+    import struct
+
+    old_len = struct.unpack("<I", raw[8:12])[0]
+    blob = edit(raw[12:12 + old_len])
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + old_len:]
+
+
 class TestCheckpointContents:
     """A checkpoint blob or dataset that eval and export-adj cannot use, or an
     empty dataset given to train, exits 2 before any output."""
@@ -576,17 +588,13 @@ class TestCheckpointContents:
     def write_checkpoint(self, path, task, n_classes, edit=None):
         """A fresh model's checkpoint; ``edit`` maps its decoded JSON blob to
         the blob written in its place."""
-        import struct
-
         from ssmgraph.config import parse_model_config
         from ssmgraph.model import build_model, save_checkpoint
 
         cfg = parse_model_config({**self.MODEL, "task": task, "n_classes": n_classes})
         raw = save_checkpoint(build_model(cfg, seed=0), None)
         if edit is not None:
-            old_len = struct.unpack("<I", raw[8:12])[0]
-            blob = json.dumps(edit(json.loads(raw[12:12 + old_len]))).encode("utf-8")
-            raw = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + old_len:]
+            raw = splice_blob(raw, lambda blob: json.dumps(edit(json.loads(blob))).encode("utf-8"))
         path.write_bytes(raw)
 
     @pytest.mark.parametrize("task, n_classes, thresholds", [
@@ -622,6 +630,32 @@ class TestCheckpointContents:
         assert main([command, "--checkpoint", str(ckpt), "--data", str(data),
                      "--out", str(out)]) == 2
         assert "JSON blob must be an object with a 'config' object" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each exited 2 with a message that named no file; the dataset's record 0
+    # id starts at byte 44, after the 16-byte header, shape and label block
+    @pytest.mark.parametrize("corrupt, damage, message", [
+        ("checkpoint", lambda raw: b"GS4X" + raw[4:], "bad magic at byte 0"),
+        ("checkpoint", lambda raw: raw[:12], "truncated checkpoint at byte 12"),
+        ("checkpoint", lambda raw: splice_blob(raw, lambda blob: b"{'config': {}}"),
+         "Expecting property name enclosed in double quotes"),
+        ("checkpoint", lambda raw: splice_blob(raw, lambda blob: b"\xff" + blob[1:]),
+         "'utf-8' codec can't decode byte 0xff"),
+        ("checkpoint", lambda raw: splice_blob(raw, lambda blob: blob.replace(
+            b'"d_model": 4', b'"d_model": -3')), "model: d_model must be >= 1, got -3"),
+        ("data", lambda raw: raw[:44] + b"\xff" + raw[45:], "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["magic", "truncated", "json", "blob-utf8", "config", "record-id-utf8"])
+    def test_corrupt_file_named_exit_2(self, tmp_path, capsys, corrupt, damage, message):
+        data, ckpt, out = tmp_path / "d.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
+        self.write_data(data, "binary", 1)
+        self.write_checkpoint(ckpt, "binary", 1)
+        bad = ckpt if corrupt == "checkpoint" else data
+        bad.write_bytes(damage(bad.read_bytes()))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {message}" in err, err
+        assert "Traceback" not in err
         assert not out.exists()
 
     # train-val and train-test give train an empty validation or test file:

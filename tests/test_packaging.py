@@ -66,7 +66,6 @@ def test_every_tensor_op_is_used_in_src():
     # a public function or class of any module that only tests call is dead
     # weight; each allowed entry says why it stays
     allowed = {
-        "s4.ssm_scan_recurrent",     # the scan oracle the convolution is tested against
         "train.validation_loss",     # perfbench/tracing.py patches and times it
     }
     src = ROOT / "src" / "ssmgraph"

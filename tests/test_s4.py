@@ -8,13 +8,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import block_params, block_reference
+from conftest import block_params, block_reference, ssm_scan_recurrent
 from ssmgraph import s4
 from ssmgraph.fftconv import conv1d_fft
 from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.model import SequenceEncoder
-from ssmgraph.s4 import (S4Layer, SsmCore, discretize_bilinear, materialize_kernel,
-                         ssm_scan_recurrent)
+from ssmgraph.s4 import S4Layer, SsmCore, discretize_bilinear, materialize_kernel
 from ssmgraph.tensor import ContractError, Tape, Tensor
 
 

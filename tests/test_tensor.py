@@ -535,10 +535,17 @@ class TestOpGradients:
             out.sum().backward()
             assert out.dtype == np.float32 and x.grad.dtype == np.float32
 
-    def test_matmul_batched(self, rng):
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 3, 5)))
+    # the operand ranks the model records: stacked activations times a weight
+    # matrix, and stacked times stacked
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (4, 5)),
+        ((2, 3, 4, 5), (5, 6)),
+        ((2, 3, 4, 5), (2, 3, 5, 6)),
+    ], ids=["3d@2d", "4d@2d", "4d@4d"])
+    def test_matmul_batched(self, rng, a_shape, b_shape):
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=a_shape[:-1] + b_shape[-1:]))
 
         def loss():
             return ((a @ b) * w).sum()
