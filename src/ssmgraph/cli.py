@@ -67,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ssmgraph")
     parser.add_argument("--threads", type=_number(int, 1),
                         default=os.environ.get("GS4_THREADS") or None,
-                        help="threads of the S4 block's row pool, the calling thread "
-                             "included (default: every CPU this process may run on); pocketfft "
+                        help="threads of the row pool that runs the S4 block and the graph "
+                             "learner's per-graph ops, the calling thread included (default: "
+                             "every CPU this process may run on); pocketfft "
                              "always runs single-threaded, OpenBLAS once a pool of "
                              "more than one thread has run, and results do not depend on the "
                              "count. Also caps OpenBLAS until then, and overrides inherited "

@@ -320,7 +320,7 @@ def load_bsg1(path) -> Dataset:
         raw = fh.read()
     try:
         return _parse_bsg1(raw)
-    except ValueError as exc:  # a record id that is not UTF-8 among them
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -353,7 +353,10 @@ def _parse_bsg1(raw: bytes) -> Dataset:
             raise ParseError(f"record {i} label block at byte {off - 16}: kind {kind} with "
                              f"{classes} classes is neither 0 (class index) nor 1 (bitmask "
                              f"of at most 32 classes)")
-        rid = need(id_len, f"record {i} id").decode("utf-8")
+        try:
+            rid = need(id_len, f"record {i} id").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"record {i} id at byte {off - id_len} is not UTF-8") from None
         values = np.frombuffer(need(4 * n * t * m, f"record {i} values"), dtype="<f4")
         if not np.all(np.isfinite(values)):
             raise ParseError(f"record {i} values at byte {off - values.nbytes} are not all finite")

@@ -22,12 +22,18 @@ gradients are summed per block and then over blocks in block order,
 whichever thread ran each block, so no result depends on the thread count;
 an activation of one block keeps the whole-array sums exactly.
 
-The dropout keep-mask is drawn whole, up front, from the caller's generator,
-so the dropout stream is the one a whole-array op draws. For backward the op
-keeps the input, the per-row LN statistics, the keep-mask and, per block,
-the LN output's spectrum, the convolution output and the gate; it recomputes
-only the normalized input. Recomputing the FFTs and the gate as well made
-the backward about 1.4x slower at the benchmark's tusz-long layer shape.
+Dropout draws one keep-mask per block from the caller's generator, in block
+order: the first thread to reach a block's dropout draws, under one lock, the
+masks of every block up to that one. Consecutive draws continue one stream,
+so the masks equal one whole-array draw, and the generator ends where that
+draw leaves it. For backward the op keeps the input, the per-row LN
+statistics, the keep-mask and, per block, the LN output's spectrum, the
+convolution output and the gate; it recomputes only the normalized input.
+Recomputing the FFTs and the gate as well made the backward about 1.4x
+slower at the benchmark's tusz-long layer shape.
+
+The row pool also runs the graph learner's per-graph ops (``graphlearn``)
+over blocks of whole graphs, through ``_blocks`` and ``_map_blocks``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import threading
 from concurrent import futures
 
 import numpy as np
@@ -46,7 +53,8 @@ from .tensor import ContractError, ShapeError, Tensor, _keep_mask, _record, _sig
 # Threads of the row pool; -1 means every CPU this process may run on.
 FFT_WORKERS = -1
 
-# A block holds as many rows as fit in this many bytes of input, at least one.
+# A block holds as many items (rows, or graphs) as fit in this many bytes of
+# the op's largest per-item array, at least one.
 _BLOCK_BYTES = 1 << 20
 _LN_EPS = 1e-5
 
@@ -106,6 +114,14 @@ def _pool(helpers: int):
     """The row pool's helper threads, made on first use, not at import; keyed
     by ``worker_count() - 1``, not by a call's block count."""
     return futures.ThreadPoolExecutor(helpers, thread_name_prefix="ssmgraph-rows")
+
+
+def _blocks(count: int, item_bytes: int) -> list[slice]:
+    """``count`` items in consecutive slices of as many items of
+    ``item_bytes`` as fit in ``_BLOCK_BYTES``, at least one. The partition
+    depends only on shapes, never on the thread count."""
+    per = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(i, min(i + per, count)) for i in range(0, count, per)]
 
 
 def _map_blocks(fn, n_blocks: int) -> list:
@@ -170,7 +186,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
     dtype = np.result_type(x.dtype, w.dtype, b.dtype)
     keep = scale = None
     if train and p > 0.0:
-        keep = _keep_mask((rows, length, d), p, rng, dtype)
+        keep = np.empty((rows, length, d), bool)
         scale = 1.0 / (1.0 - p)
     n = _next_pow2(2 * length - 1)
     # looked up once, on the caller's thread: a stand-in for scipy.fft is never
@@ -179,11 +195,22 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
     spec = rfft(k.data, n=n, axis=-2)
     if r is not None:
         spec += np.conj(rfft(r.data, n=n, axis=-2))
-    per = max(1, _BLOCK_BYTES // (length * d * x.data.itemsize))
-    blocks = [slice(i, min(i + per, rows)) for i in range(0, rows, per)]
+    blocks = _blocks(rows, length * d * x.data.itemsize)
     out = np.empty(xr.shape, dtype)
     mu = np.empty((rows, length, 1), x.dtype)
     inv = np.empty_like(mu)
+    drawn = 0  # blocks whose keep-masks are drawn
+    draw_lock = threading.Lock()
+
+    def keep_of(i):
+        """Block i's keep-mask. The first thread to need it also draws each
+        earlier block's not drawn yet, so masks are drawn in block order."""
+        nonlocal drawn
+        with draw_lock:
+            while drawn <= i:
+                keep[blocks[drawn]] = _keep_mask(keep[blocks[drawn]].shape, p, rng, dtype)
+                drawn += 1
+        return keep[blocks[i]]
 
     def forward(i):
         rs = blocks[i]
@@ -207,7 +234,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
         glu = h[:, :d] * h[:, d:]
         if keep is not None:
             glu *= scale
-            glu *= keep[rs].reshape(-1, d)
+            glu *= keep_of(i).reshape(-1, d)
         np.add(xb, glu.reshape(xb.shape), out=out[rs])
         if taped:
             saved[i] = z_spec, y, h

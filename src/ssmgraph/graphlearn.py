@@ -8,19 +8,35 @@ log-degree connectivity, Frobenius sparsity) shape the learned graphs.
 
 Each stage is one pass where the arithmetic allows: k first-occurrence
 ``argmax`` passes pick the KNN peers (ties go to the lower index, as in a
-stable sort); one tape op scales, softmaxes and head-averages the attention;
-one mixes, prunes and symmetrizes; one gives the regularizers of each graph.
-The attention and finalize ops repeat the elementary ops' arithmetic in the
-same order, with constants in the graph's dtype, so graphs and gradients
-equal the unfused composition bit for bit.
+stable sort); one tape op, ``attention_weights``, takes Q and K^T to the
+head-averaged softmax of their scores; one mixes, prunes and symmetrizes;
+one gives the regularizers of each graph. The attention and finalize ops
+repeat the elementary ops' arithmetic in the same order, with constants in
+the graph's dtype, so graphs and gradients equal the unfused composition
+bit for bit.
+
+Every graph is independent through these four ops, so each runs forward and
+backward over blocks of whole graphs on the S4 block's row pool
+(``fftconv._blocks`` and ``fftconv._map_blocks``): a block holds about
+``fftconv._BLOCK_BYTES`` of the op's largest per-graph array, and a call with
+one block runs on the calling thread. For backward, ``attention_weights``
+keeps each block's softmax, ``finalize_adjacency`` the keep-mask of the
+pruning, and ``graph_regularizers`` each block's degrees, scaled embeddings
+and their Gram matrices; ``knn_graph_cosine`` records nothing. Each block
+repeats the whole-array arithmetic on its graphs and writes only its own
+slice of each result, so no value or gradient depends on the block or thread
+count. The Q/K projections stay whole-array ops: their parameter gradients
+sum over graphs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fftconv
 from . import tensor as T
 from .tensor import ContractError, Module, ShapeError, Tensor
 
@@ -114,10 +130,8 @@ def attention_adjacency(h: Tensor, mq: Tensor, mk: Tensor, heads: int = 1) -> Te
     ``mq`` and ``mk`` are (D, D); head ``i`` uses its own column block, so the
     parameter count stays 2*D^2 regardless of the head count. The heads are
     one tensor axis: Q becomes (..., H, N, d_head) and K^T (..., H, d_head, N),
-    so every head's scores come from one batched matmul. One op,
-    ``softmax_head_mean``, then scales, softmaxes and averages them; it keeps
-    the arithmetic and order of a divide, softmax, head sum and divide by H,
-    so its values and gradients equal theirs bit for bit.
+    and one op, ``attention_weights``, gives the head mean of their scores'
+    softmax.
     """
     d = h.shape[-1]
     if mq.shape != (d, d) or mk.shape != (d, d):
@@ -130,7 +144,74 @@ def attention_adjacency(h: Tensor, mq: Tensor, mk: Tensor, heads: int = 1) -> Te
     lead = tuple(range(n))
     q = (h @ mq).reshape(split).transpose(lead + (n + 1, n, n + 2))
     k_t = (h @ mk).reshape(split).transpose(lead + (n + 1, n + 2, n))
-    return T.softmax_head_mean(q @ k_t, float(np.sqrt(d_head)))
+    return attention_weights(q, k_t, float(np.sqrt(d_head)))
+
+
+def attention_weights(q, k_t, divisor: float) -> Tensor:
+    """Mean over heads of the last-axis softmax of Q K^T / ``divisor``:
+    q (..., H, N, d) and k_t (..., H, d, N) -> (..., N, N); each output row is
+    nonnegative and sums to 1.
+
+    One op over blocks of whole graphs, for a matmul, a divide, a
+    max-subtracted softmax, a sum over H and a divide by H, with their
+    arithmetic in their order: both constants are 0-d arrays in the scores'
+    dtype, as ``_operands`` makes them, and the softmax runs in place on the
+    quotient. Values and gradients therefore equal that five-op composition
+    bit for bit. A block keeps only its softmax for backward.
+    """
+    q, k_t = T.as_tensor(q), T.as_tensor(k_t)
+    if q.ndim < 3 or k_t.shape != q.shape[:-2] + q.shape[-1:] + q.shape[-2:-1]:
+        raise ShapeError(f"attention_weights needs q (..., H, N, d) and k_t (..., H, d, N), "
+                         f"got {q.shape} and {k_t.shape}")
+    heads, n, d = q.shape[-3:]
+    count = math.prod(q.shape[:-3])
+    qg = q.data.reshape(count, heads, n, d)
+    kg = k_t.data.reshape(count, heads, d, n)
+    dtype = np.result_type(q.dtype, k_t.dtype)
+    scale = np.asarray(divisor, dtype=dtype)
+    n_heads = np.asarray(heads, dtype=dtype)
+    blocks = fftconv._blocks(count, heads * n * n * dtype.itemsize)
+    out = np.empty((count, n, n), dtype)
+    taped = T.GRAD_ENABLED and (q.requires_grad or k_t.requires_grad)
+    probs = [None] * len(blocks)
+
+    def forward(i):
+        rs = blocks[i]
+        p = qg[rs] @ kg[rs]
+        p /= scale
+        T._softmax(p, out=p)
+        np.sum(p, axis=-3, out=out[rs])
+        out[rs] /= n_heads
+        if taped:
+            probs[i] = p
+
+    fftconv._map_blocks(forward, len(blocks))
+
+    def bwd(g):
+        g = g.reshape(count, n, n)
+        gq = np.empty(qg.shape, dtype) if q.requires_grad else None
+        gk = np.empty(kg.shape, dtype) if k_t.requires_grad else None
+
+        def backward(i):
+            rs, p = blocks[i], probs[i]
+            g_head = (g[rs] / n_heads)[:, None, :, :]
+            scratch = g_head * p
+            dot = scratch.sum(axis=-1, keepdims=True)
+            np.subtract(g_head, dot, out=scratch)
+            scratch *= p
+            scratch /= scale
+            if gq is not None:
+                np.matmul(scratch, np.swapaxes(kg[rs], -1, -2), out=gq[rs])
+            if gk is not None:
+                np.matmul(np.swapaxes(qg[rs], -1, -2), scratch, out=gk[rs])
+
+        fftconv._map_blocks(backward, len(blocks))
+        if gq is not None:
+            q._accum(gq.reshape(q.shape), owned=True)
+        if gk is not None:
+            k_t._accum(gk.reshape(k_t.shape), owned=True)
+
+    return T._record(out.reshape(q.shape[:-3] + (n, n)), (q, k_t), bwd)
 
 
 def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
@@ -145,21 +226,31 @@ def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
     ``argmax`` returns the first occurrence of the row maximum, and the rows
     hold no NaN, so equal similarities go to the lower index.
     """
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h)
     n = h.shape[-2]
     if not 1 <= k < n:
         raise ContractError(f"knn_k must satisfy 1 <= k < N={n}, got {k}")
-    norms = np.linalg.norm(h, axis=-1, keepdims=True)
-    unit = np.divide(h, norms, out=np.zeros_like(h), where=norms > 0)
-    sim = unit @ np.swapaxes(unit, -1, -2)
+    count = math.prod(h.shape[:-2])
+    graphs = h.reshape((count,) + h.shape[-2:])
+    blocks = fftconv._blocks(count, n * n * 8)
+    out = np.empty((count, n, n))
     idx = np.arange(n)
-    sim[..., idx, idx] = -np.inf  # exclude self
-    w = np.zeros(sim.shape)
-    for _ in range(k):
-        pick = np.argmax(sim, axis=-1, keepdims=True)
-        np.put_along_axis(w, pick, 1.0, axis=-1)
-        np.put_along_axis(sim, pick, -np.inf, axis=-1)
-    return np.maximum(w, np.swapaxes(w, -1, -2))
+
+    def block(i):
+        hb = np.asarray(graphs[blocks[i]], dtype=np.float64)
+        norms = np.linalg.norm(hb, axis=-1, keepdims=True)
+        unit = np.divide(hb, norms, out=np.zeros_like(hb), where=norms > 0)
+        sim = unit @ np.swapaxes(unit, -1, -2)
+        sim[..., idx, idx] = -np.inf  # exclude self
+        w = np.zeros(sim.shape)
+        for _ in range(k):
+            pick = np.argmax(sim, axis=-1, keepdims=True)
+            np.put_along_axis(w, pick, 1.0, axis=-1)
+            np.put_along_axis(sim, pick, -np.inf, axis=-1)
+        np.maximum(w, np.swapaxes(w, -1, -2), out=out[blocks[i]])
+
+    fftconv._map_blocks(block, len(blocks))
+    return out.reshape(h.shape[:-1] + (n,))
 
 
 def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: float) -> Tensor:
@@ -178,21 +269,40 @@ def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: 
         raise ShapeError(f"shape mismatch: {w_bar.shape} vs {np.shape(w_knn)}")
     bar_scale = np.asarray(1.0 - epsilon, dtype=w_bar.dtype)
     half = np.asarray(0.5, dtype=w_bar.dtype)
-    mixed = np.asarray(w_knn, dtype=w_bar.dtype) * epsilon
-    mixed += w_bar.data * bar_scale
-    keep = mixed >= kappa
-    mixed[~keep] = 0.0
-    out_data = mixed + np.swapaxes(mixed, -1, -2)
-    out_data *= half
+    n = w_bar.shape[-1]
+    count = math.prod(w_bar.shape[:-2])
+    bar = w_bar.data.reshape(count, n, n)
+    knn = np.asarray(w_knn).reshape(count, n, n)
+    blocks = fftconv._blocks(count, n * n * max(knn.itemsize, w_bar.data.itemsize))
+    keep = np.empty((count, n, n), bool)
+    out = np.empty((count, n, n), w_bar.dtype)
+
+    def forward(i):
+        rs = blocks[i]
+        mixed = np.asarray(knn[rs], dtype=w_bar.dtype) * epsilon
+        mixed += bar[rs] * bar_scale
+        np.greater_equal(mixed, kappa, out=keep[rs])
+        mixed[~keep[rs]] = 0.0
+        np.add(mixed, np.swapaxes(mixed, -1, -2), out=out[rs])
+        out[rs] *= half
+
+    fftconv._map_blocks(forward, len(blocks))
 
     def bwd(g):
-        g_half = g * half
-        g_mixed = g_half + np.swapaxes(g_half, -1, -2)
-        g_mixed *= keep
-        g_mixed *= bar_scale
-        w_bar._accum(g_mixed, owned=True)
+        g = g.reshape(count, n, n)
+        g_mixed = np.empty_like(g)
 
-    return T._record(out_data, (w_bar,), bwd)
+        def backward(i):
+            rs = blocks[i]
+            g_half = g[rs] * half
+            np.add(g_half, np.swapaxes(g_half, -1, -2), out=g_mixed[rs])
+            g_mixed[rs] *= keep[rs]
+            g_mixed[rs] *= bar_scale
+
+        fftconv._map_blocks(backward, len(blocks))
+        w_bar._accum(g_mixed.reshape(w_bar.shape), owned=True)
+
+    return T._record(out.reshape(w_bar.shape), (w_bar,), bwd)
 
 
 def graph_regularizers(h, w) -> Tensor:
@@ -208,29 +318,60 @@ def graph_regularizers(h, w) -> Tensor:
     if w.shape[-2:] != (n, n) or h.shape[:-1] != w.shape[:-1]:
         raise ShapeError(f"embeddings {h.shape} and graphs {w.shape} misaligned")
     nn = float(n * n)
-    deg = w.data.sum(axis=-1)
-    guard = deg + ((deg == 0.0) * DEG_EPS).astype(w.dtype)
-    inv_sqrt = guard ** -0.5
-    y = h.data * inv_sqrt[..., None]
-    sq = (y * y).sum(axis=-1)
-    yy = y @ np.swapaxes(y, -1, -2)
-    out = np.stack([((deg * sq).sum(axis=-1) - (w.data * yy).sum(axis=(-1, -2))) / nn,
-                    np.log(guard).sum(axis=-1) / float(-n),
-                    (w.data * w.data).sum(axis=(-1, -2)) / nn], axis=-1)
+    count = math.prod(w.shape[:-2])
+    hg = h.data.reshape(count, n, h.shape[-1])
+    wg = w.data.reshape(count, n, n)
+    dtype = np.result_type(h.dtype, w.dtype)
+    blocks = fftconv._blocks(count, n * n * dtype.itemsize)
+    out = np.empty((count, 3), dtype)
+    taped = T.GRAD_ENABLED and (h.requires_grad or w.requires_grad)
+    saved = [None] * len(blocks)
+
+    def forward(i):
+        rs = blocks[i]
+        wb = wg[rs]
+        deg = wb.sum(axis=-1)
+        guard = deg + ((deg == 0.0) * DEG_EPS).astype(w.dtype)
+        inv_sqrt = guard ** -0.5
+        y = hg[rs] * inv_sqrt[..., None]
+        sq = (y * y).sum(axis=-1)
+        yy = y @ np.swapaxes(y, -1, -2)
+        out[rs, 0] = ((deg * sq).sum(axis=-1) - (wb * yy).sum(axis=(-1, -2))) / nn
+        out[rs, 1] = np.log(guard).sum(axis=-1) / float(-n)
+        out[rs, 2] = (wb * wb).sum(axis=(-1, -2)) / nn
+        if taped:
+            saved[i] = deg, guard, inv_sqrt, y, sq, yy
+
+    fftconv._map_blocks(forward, len(blocks))
 
     def bwd(g):
-        a = g[..., :1] / nn                                   # (..., 1)
-        d_y = (deg + deg)[..., None] * y
-        d_y -= (w.data + np.swapaxes(w.data, -1, -2)) @ y
-        if h.requires_grad:
-            h._accum(d_y * (a * inv_sqrt)[..., None], owned=True)
-        if w.requires_grad:
-            row = a * (sq - (d_y * y).sum(axis=-1) / (guard + guard)) - g[..., 1:2] / (guard * n)
-            gw = w.data * (g[..., 2:] * (2.0 / nn))[..., None] - yy * a[..., None]
-            gw += row[..., None]
-            w._accum(gw, owned=True)
+        g = g.reshape(count, 3)
+        grad_dtype = np.result_type(dtype, g.dtype)
+        gh = np.empty(hg.shape, grad_dtype) if h.requires_grad else None
+        gw = np.empty(wg.shape, grad_dtype) if w.requires_grad else None
 
-    return T._record(out, (h, w), bwd)
+        def backward(i):
+            rs = blocks[i]
+            deg, guard, inv_sqrt, y, sq, yy = saved[i]
+            wb, gb = wg[rs], g[rs]
+            a = gb[:, :1] / nn                                   # (b, 1)
+            d_y = (deg + deg)[..., None] * y
+            d_y -= (wb + np.swapaxes(wb, -1, -2)) @ y
+            if gh is not None:
+                np.multiply(d_y, (a * inv_sqrt)[..., None], out=gh[rs])
+            if gw is not None:
+                row = a * (sq - (d_y * y).sum(axis=-1) / (guard + guard)) - gb[:, 1:2] / (guard * n)
+                gwb = np.multiply(wb, (gb[:, 2:] * (2.0 / nn))[..., None], out=gw[rs])
+                gwb -= yy * a[..., None]
+                gwb += row[..., None]
+
+        fftconv._map_blocks(backward, len(blocks))
+        if gh is not None:
+            h._accum(gh.reshape(h.shape), owned=True)
+        if gw is not None:
+            w._accum(gw.reshape(w.shape), owned=True)
+
+    return T._record(out.reshape(w.shape[:-2] + (3,)), (h, w), bwd)
 
 
 def reg_loss_total(w: Tensor, pooled: Tensor, weights: RegWeights) -> Tensor:

@@ -482,39 +482,6 @@ def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
 # -- fused numerics -------------------------------------------------------
 
 
-def softmax_head_mean(a, divisor: float) -> Tensor:
-    """Mean over axis -3 of the last-axis softmax of ``a / divisor``:
-    (..., H, N, N) -> (..., N, N); each output row is nonnegative and sums to 1.
-
-    One op for a divide, a max-subtracted softmax, a sum over H and a divide
-    by H, with their arithmetic in their order: both constants are 0-d arrays
-    in ``a``'s dtype, as ``_operands`` makes them, and the softmax runs in
-    place on the quotient. Values and gradients therefore equal that
-    four-op composition bit for bit. The backward rule reads the head-mean
-    gradient through a broadcast view instead of copying it per head.
-    """
-    a = as_tensor(a)
-    if a.ndim < 3:
-        raise ShapeError(f"softmax_head_mean expects (..., H, N, N), got {a.shape}")
-    scale = np.asarray(divisor, dtype=a.dtype)
-    heads = np.asarray(a.shape[-3], dtype=a.dtype)
-    probs = a.data / scale
-    _softmax(probs, out=probs)
-    out_data = probs.sum(axis=-3)
-    out_data /= heads
-
-    def bwd(g):
-        g_head = (g / heads)[..., None, :, :]
-        scratch = g_head * probs
-        dot = scratch.sum(axis=-1, keepdims=True)
-        np.subtract(g_head, dot, out=scratch)
-        scratch *= probs
-        scratch /= scale
-        a._accum(scratch, owned=True)
-
-    return _record(out_data, (a,), bwd)
-
-
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-z)) into ``out``, which may be ``z``; where exp(-z)
     overflows to inf the result is exactly 0."""

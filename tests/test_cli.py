@@ -643,7 +643,7 @@ class TestCheckpointContents:
          "'utf-8' codec can't decode byte 0xff"),
         ("checkpoint", lambda raw: splice_blob(raw, lambda blob: blob.replace(
             b'"d_model": 4', b'"d_model": -3')), "model: d_model must be >= 1, got -3"),
-        ("data", lambda raw: raw[:44] + b"\xff" + raw[45:], "'utf-8' codec can't decode byte 0xff"),
+        ("data", lambda raw: raw[:44] + b"\xff" + raw[45:], "record 0 id at byte 44 is not UTF-8"),
     ], ids=["magic", "truncated", "json", "blob-utf8", "config", "record-id-utf8"])
     def test_corrupt_file_named_exit_2(self, tmp_path, capsys, corrupt, damage, message):
         data, ckpt, out = tmp_path / "d.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
@@ -843,6 +843,27 @@ print(fftconv._pool.cache_info().currsize, len(rows))
 """)
         pools, threads = map(int, out.split())
         assert pools == 1 and threads <= 2
+
+    @pytest.mark.parametrize("workers, pools, threads", [(1, 0, 0), (2, 1, 1)])
+    def test_workers_cap_the_graph_ops(self, workers, pools, threads):
+        # 128 graphs of 64 nodes: eight attention blocks, more than one in every op
+        out = run_python(f"""
+import threading
+import numpy as np
+from ssmgraph import fftconv
+from ssmgraph.graphlearn import GslConfig, GslLayer, RegWeights, reg_loss_total
+from ssmgraph.tensor import Tensor
+fftconv.FFT_WORKERS = {workers}
+rng = np.random.default_rng(0)
+layer = GslLayer(32, GslConfig(r=4, heads=4), rng, np.float32)
+pooled = Tensor(rng.normal(size=(4, 32, 64, 32)), requires_grad=True, dtype=np.float32)
+graphs = layer.build_graphs(pooled)
+reg_loss_total(graphs, pooled, RegWeights(0.1, 0.1, 0.1)).backward()
+assert len(fftconv._blocks(128, 64 * 64 * 8)) > 1
+rows = [t for t in threading.enumerate() if t.name.startswith("ssmgraph-rows")]
+print(fftconv._pool.cache_info().currsize, len(rows))
+""")
+        assert list(map(int, out.split())) == [pools, threads]
 
     def test_flag_overrides_inherited_thread_variables(self):
         # numpy loads after the cap, so its OpenBLAS sizes its pool from the flag

@@ -1,18 +1,22 @@
 """Graph structure learning: pooling, attention adjacency, KNN mixing,
 pruning/symmetrization, and the three regularizers."""
 
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import graph_regularizers_reference
+from ssmgraph import fftconv
 from ssmgraph import tensor as T
 from ssmgraph.gradcheck import backward_and_gradcheck
 from ssmgraph.graphlearn import (DEG_EPS, GslConfig, GslLayer, RegWeights,
-                                 attention_adjacency, finalize_adjacency,
+                                 attention_adjacency, attention_weights, finalize_adjacency,
                                  graph_regularizers, interval_mean_pool,
                                  knn_graph_cosine, num_intervals,
                                  reg_loss_total, write_adjacency_csv)
-from ssmgraph.tensor import ContractError, ShapeError, Tape, Tensor
+from ssmgraph.tensor import ContractError, NumericError, ShapeError, Tape, Tensor
 
 
 def knn_graph_argsort(h, k):
@@ -442,6 +446,66 @@ class TestRegularizers:
             assert worst <= 1e-5, per
 
 
+def graph_stage(dtype):
+    """Graphs, regularizer columns and the gradients of pooled, mq and mk of
+    one graph layer on 3 x 7 graphs of 64 nodes."""
+    rng = np.random.default_rng(5)
+    layer = GslLayer(32, GslConfig(r=4, knn_k=2, epsilon=0.6, kappa=0.1, heads=4), rng, dtype)
+    pooled = Tensor(rng.normal(size=(3, 7, 64, 32)), requires_grad=True, dtype=dtype)
+    w = layer.build_graphs(pooled)
+    reg = graph_regularizers(pooled, w)
+    loss = ((reg * Tensor([0.3, 0.2, 0.5], dtype=dtype)).sum()
+            + (w * Tensor(rng.normal(size=w.shape), dtype=dtype)).sum())
+    loss.backward()
+    return [w.data, reg.data, pooled.grad, layer.mq.grad, layer.mk.grad]
+
+
+class TestGraphBlocks:
+    """The attention, KNN, finalize and regularizer ops run blocks of whole
+    graphs on the row pool: no value or gradient may depend on the block
+    count or the pool size."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_equals_one_block(self, monkeypatch, dtype):
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", 1 << 40)
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 1)
+        expected = [a.tobytes() for a in graph_stage(dtype)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            # 1 MiB: attention blocks of 8 or 16 graphs and a ragged last one;
+            # 80 kB: one graph per attention block and ragged pairs of graphs
+            # in the other ops. 5 workers: more threads than most hosts' CPUs.
+            for block_bytes in (1 << 20, 80_000):
+                for workers in (1, 2, 5):
+                    monkeypatch.setattr(fftconv, "_BLOCK_BYTES", block_bytes)
+                    monkeypatch.setattr(fftconv, "FFT_WORKERS", workers)
+                    got = [a.tobytes() for a in graph_stage(dtype)]
+                    assert got == expected, (block_bytes, workers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_error_reaches_caller_once_every_block_has_stopped(self, monkeypatch):
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", 1)  # one graph a block
+        softmax, calls, finished = T._softmax, itertools.count(), []
+
+        def failing(z, out=None):
+            if next(calls) == 0:  # atomic under the GIL
+                raise NumericError("one block failed")
+            result = softmax(z, out=out)
+            finished.append(len(z))
+            return result
+
+        monkeypatch.setattr(T, "_softmax", failing)
+        rng = np.random.default_rng(0)
+        q, k_t = rng.normal(size=(12, 2, 5, 3)), rng.normal(size=(12, 2, 3, 5))
+        with pytest.raises(NumericError, match="one block failed"):
+            attention_weights(Tensor(q), Tensor(k_t), 1.0)
+        # the other eleven blocks ran to the end before the call raised
+        assert finished == [1] * 11
+
+
 class TestGslLayer:
     def test_end_to_end_contracts(self, rng):
         cfg = GslConfig(r=4, knn_k=2, epsilon=0.5, kappa=0.1, heads=2)
@@ -453,12 +517,12 @@ class TestGslLayer:
         assert np.all((w.data == 0.0) | (w.data >= 0.0))
         assert np.all(w.data <= 1.0)
 
-    def test_build_graphs_records_nine_ops(self, rng):
-        # two projections (matmul, reshape, transpose each), the score matmul,
-        # one attention softmax op and one finalize op
+    def test_build_graphs_records_eight_ops(self, rng):
+        # two projections (matmul, reshape, transpose each), one attention op
+        # from Q and K^T and one finalize op
         layer = GslLayer(8, GslConfig(r=4, knn_k=2, epsilon=0.5, kappa=0.1, heads=2), rng)
         pooled = Tensor(rng.normal(size=(2, 3, 5, 8)), requires_grad=True)
-        assert len(Tape.trace(layer.build_graphs(pooled)).ops) == 9
+        assert len(Tape.trace(layer.build_graphs(pooled)).ops) == 8
 
     def test_graph_count(self, rng):
         assert num_intervals(2048, 256) == 8

@@ -1,7 +1,7 @@
 """Tensor engine: op-level gradient checks, the fused S4 block op (its FFT
 convolution vs the direct oracle, its LayerNorm and GLU, its row blocks and
-thread pool), softmax properties, the Module parameter walk, and the
-allocator policy set at import."""
+thread pool), the attention softmax's properties, the Module parameter walk,
+and the allocator policy set at import."""
 
 import ctypes
 import functools
@@ -22,6 +22,7 @@ from ssmgraph import fftconv
 from ssmgraph import tensor as T
 from ssmgraph.fftconv import _next_pow2, conv1d_fft, worker_count
 from ssmgraph.gradcheck import backward_and_gradcheck
+from ssmgraph.graphlearn import attention_weights
 from ssmgraph.tensor import ContractError, NumericError, ShapeError, Tape, Tensor, _unbroadcast
 
 
@@ -282,6 +283,21 @@ class TestRowBlocks:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_dropout_leaves_generator_as_one_whole_draw(self, rng, blocks, monkeypatch, dtype,
+                                                        workers):
+        # each block draws its own mask, in block order, so the generator ends
+        # where one whole (rows, L, D) draw leaves it
+        x, k, k_rev, params, mask = block_case(rng, True, dtype)
+        blocks(2, itemsize=np.dtype(dtype).itemsize)
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", workers)
+        used, whole = np.random.default_rng(11), np.random.default_rng(11)
+        conv1d_fft(x, k, k_rev, params["gamma"], params["beta"], params["w"], params["b"], mask,
+                   0.3, used, True)
+        whole.random(x.shape, dtype=dtype)
+        assert used.bit_generator.state == whole.bit_generator.state
+
     def test_blas_held_at_one_thread_once_pool_runs(self, rng, blocks, monkeypatch):
         blas = fftconv._openblas()
         if blas is None:
@@ -376,9 +392,9 @@ class TestFFTRoundTrip:
 
 
 def softmax_lastdim_reference(a: Tensor) -> Tensor:
-    """The last-axis softmax op ``softmax_head_mean`` replaced, kept as its
-    reference: a new array at every step, the gradient through a full-size
-    ``g``."""
+    """The last-axis softmax op the attention once recorded, kept as the
+    reference of ``attention_weights``: a new array at every step, the
+    gradient through a full-size ``g``."""
     ex = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
     out_data = ex / ex.sum(axis=-1, keepdims=True)
 
@@ -389,84 +405,96 @@ def softmax_lastdim_reference(a: Tensor) -> Tensor:
     return T._record(out_data, (a,), bwd)
 
 
-def head_mean_reference(a: Tensor, divisor: float) -> Tensor:
-    """The four elementary ops ``softmax_head_mean`` stands for."""
-    return softmax_lastdim_reference(a / divisor).sum(axis=-3) / float(a.shape[-3])
+def head_mean_reference(q: Tensor, k_t: Tensor, divisor: float) -> Tensor:
+    """The five elementary ops ``attention_weights`` stands for."""
+    return softmax_lastdim_reference(q @ k_t / divisor).sum(axis=-3) / float(q.shape[-3])
+
+
+def weights_of_scores(x, divisor: float) -> Tensor:
+    """``attention_weights`` on scores ``x`` (..., H, N, N), as Q = x and
+    K^T = I: each score is one product by 1 plus products by 0, so exactly x."""
+    x = np.asarray(x, dtype=np.float64)
+    return attention_weights(Tensor(x), Tensor(np.broadcast_to(np.eye(x.shape[-1]), x.shape)),
+                             divisor)
 
 
 class TestSoftmax:
-    """``softmax_head_mean``: the mean over axis -3 of the last-axis softmax
-    of ``a / divisor``."""
+    """``attention_weights``: the mean over heads of the last-axis softmax of
+    Q K^T / divisor."""
 
     def test_uniform_on_zeros(self):
-        out = T.softmax_head_mean(Tensor(np.zeros((2, 3, 3))), 1.0)
+        out = weights_of_scores(np.zeros((2, 3, 3)), 1.0)
         np.testing.assert_allclose(out.data, np.full((3, 3), 1 / 3), atol=1e-12)
 
     def test_closed_form(self):
         # softmax([2 log 2, 0] / 2) = [2/3, 1/3]; the head mean of two equal heads
-        x = np.array([[[2 * np.log(2.0), 0.0]], [[2 * np.log(2.0), 0.0]]])
-        out = T.softmax_head_mean(Tensor(x), 2.0)
-        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
+        x = np.array([[2 * np.log(2.0), 0.0], [0.0, 2 * np.log(2.0)]])
+        out = weights_of_scores(np.stack([x, x]), 2.0)
+        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-12)
 
     def test_no_overflow_on_huge_logit(self):
-        out = T.softmax_head_mean(Tensor([[[1000.0, 0.0]], [[0.0, 1000.0]]]), 1.0)
+        out = weights_of_scores([[[1000.0, 0.0]] * 2, [[0.0, 1000.0]] * 2], 1.0)
         assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(out.data, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_rows_sum_to_one_random(self, rng):
         for _ in range(100):
-            x = rng.normal(scale=5.0, size=(2, 3, 4, 6))
-            out = T.softmax_head_mean(Tensor(x), float(rng.uniform(0.5, 3.0)))
-            np.testing.assert_allclose(out.data.sum(axis=-1), np.ones((2, 4)), atol=1e-9)
+            x = rng.normal(scale=5.0, size=(2, 3, 6, 6))
+            out = weights_of_scores(x, float(rng.uniform(0.5, 3.0)))
+            np.testing.assert_allclose(out.data.sum(axis=-1), np.ones((2, 6)), atol=1e-9)
             assert np.all(out.data >= 0)
 
     def test_shift_invariant(self, rng):
         # a constant added to each row cancels in the max-subtracted softmax
-        x = rng.normal(size=(3, 4, 6))
-        shift = rng.normal(scale=50.0, size=(3, 4, 1))
-        a = T.softmax_head_mean(Tensor(x + shift), 1.5).data
-        b = T.softmax_head_mean(Tensor(x), 1.5).data
+        x = rng.normal(size=(3, 6, 6))
+        shift = rng.normal(scale=50.0, size=(3, 6, 1))
+        a = weights_of_scores(x + shift, 1.5).data
+        b = weights_of_scores(x, 1.5).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_permutation_equivariant(self, rng):
         # permuting the last axis permutes the output; permuting heads changes nothing
         for _ in range(20):
-            x = rng.normal(size=(3, 2, 8))
+            x = rng.normal(size=(3, 8, 8))
             perm = rng.permutation(8)
-            a = T.softmax_head_mean(Tensor(x[..., perm]), 1.0).data
-            b = T.softmax_head_mean(Tensor(x), 1.0).data[..., perm]
+            a = weights_of_scores(x[..., perm], 1.0).data
+            b = weights_of_scores(x, 1.0).data[..., perm]
             np.testing.assert_allclose(a, b, atol=1e-12)
-            heads = T.softmax_head_mean(Tensor(x[rng.permutation(3)]), 1.0).data
-            np.testing.assert_allclose(heads, T.softmax_head_mean(Tensor(x), 1.0).data,
-                                       atol=1e-12)
+            heads = weights_of_scores(x[rng.permutation(3)], 1.0).data
+            np.testing.assert_allclose(heads, weights_of_scores(x, 1.0).data, atol=1e-12)
 
     def test_gradcheck(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 3, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 3, 5)))
+        q = Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True)
+        k_t = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 5, 5)))
 
         def loss():
-            return (T.softmax_head_mean(x, 1.7) * w).sum()
+            return (attention_weights(q, k_t, 1.7) * w).sum()
 
-        worst, _ = backward_and_gradcheck(loss, {"x": x})
+        worst, _ = backward_and_gradcheck(loss, {"q": q, "k_t": k_t})
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape, divisor", [((3, 5, 5), 1.0), ((2, 3, 4, 6, 6), 2.0),
                                                 ((4, 32, 4, 64, 64), float(np.sqrt(8)))])
     def test_matches_unfused_composition(self, rng, dtype, shape, divisor):
-        # same values and input gradient, bit for bit, as divide, softmax,
-        # head sum and divide by H (the last shape is graph-dense's attention)
-        x = rng.normal(scale=3.0, size=shape).astype(dtype)
+        # same values and gradients, bit for bit, as the score matmul, divide,
+        # softmax, head sum and divide by H, at these score shapes with
+        # d_head = 8 (the last is graph-dense's attention)
+        q = rng.normal(size=shape[:-1] + (8,)).astype(dtype)
+        k_t = rng.normal(size=shape[:-2] + (8, shape[-1])).astype(dtype)
         g = rng.normal(size=shape[:-3] + shape[-2:]).astype(dtype)
-        fused_in, ref_in = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
-        fused = T.softmax_head_mean(fused_in, divisor)
-        ref = head_mean_reference(ref_in, divisor)
+        fused_in = [Tensor(a, requires_grad=True) for a in (q, k_t)]
+        ref_in = [Tensor(a, requires_grad=True) for a in (q, k_t)]
+        fused = attention_weights(*fused_in, divisor)
+        ref = head_mean_reference(*ref_in, divisor)
         fused.backward(g)
         ref.backward(g)
         assert fused.dtype == ref.dtype == dtype
         assert fused.data.tobytes() == ref.data.tobytes()
-        assert fused_in.grad.dtype == dtype
-        assert fused_in.grad.tobytes() == ref_in.grad.tobytes()
+        for a, b in zip(fused_in, ref_in):
+            assert a.grad.dtype == dtype
+            assert a.grad.tobytes() == b.grad.tobytes()
 
 
 class TestGradcheckHarness:
