@@ -346,9 +346,8 @@ def graph_regularizers(h, w) -> Tensor:
 
     def bwd(g):
         g = g.reshape(count, 3)
-        grad_dtype = np.result_type(dtype, g.dtype)
-        gh = np.empty(hg.shape, grad_dtype) if h.requires_grad else None
-        gw = np.empty(wg.shape, grad_dtype) if w.requires_grad else None
+        gh = np.empty(hg.shape, dtype) if h.requires_grad else None
+        gw = np.empty(wg.shape, dtype) if w.requires_grad else None
 
         def backward(i):
             rs = blocks[i]
