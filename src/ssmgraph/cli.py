@@ -7,8 +7,8 @@ Numeric flags are parsed and range-checked by argparse, which exits 2 naming
 the flag before any work; ``gen-data``'s flags are checked by ``DatasetSpec``.
 
 Heavy imports happen after the thread cap is applied, because BLAS sizes
-its thread pool when numpy loads; an OpenBLAS that is already loaded is
-capped through its own setter.
+its thread pool when numpy loads; the row pool holds OpenBLAS at one thread
+from its first op on.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ def _apply_thread_cap(threads: int | None) -> None:
         os.environ[var] = str(threads)
     from . import fftconv  # loads numpy, whose OpenBLAS reads the variables if it is new
     fftconv.FFT_WORKERS = threads
-    fftconv.set_blas_threads(threads)  # an OpenBLAS loaded earlier ignores them
 
 
 def _number(kind, low, strict: bool = False):
@@ -70,11 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="threads of the row pool that runs the S4 block and the graph "
                              "learner's per-graph ops, the calling thread included (default: "
                              "every CPU this process may run on); pocketfft "
-                             "always runs single-threaded, OpenBLAS once a pool of "
-                             "more than one thread has run, and results do not depend on the "
-                             "count. Also caps OpenBLAS until then, and overrides inherited "
-                             "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and "
-                             "NUMEXPR_NUM_THREADS (env fallback: GS4_THREADS)")
+                             "always runs single-threaded, the pool holds OpenBLAS at one "
+                             "thread from its first op on, and results do not depend on the "
+                             "count. Also overrides inherited OMP_NUM_THREADS, "
+                             "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and NUMEXPR_NUM_THREADS, "
+                             "which set OpenBLAS's thread count only when it loads "
+                             "(env fallback: GS4_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")
@@ -137,14 +137,14 @@ def _write_json(path, payload: dict) -> None:
 
 def _load_checkpoint_and_data(args):
     """(model, extra, dataset) of ``--checkpoint`` and ``--data``; the
-    dataset must fit the model."""
+    dataset must fit the model, and ``eval`` must be able to score it."""
     from .data import load_bsg1
     from .model import load_checkpoint
     from .train import check_dataset
 
     model, extra = load_checkpoint(args.checkpoint)
     dataset = load_bsg1(args.data)
-    check_dataset(model.cfg, dataset, args.data)
+    check_dataset(model.cfg, dataset, args.data, scored=args.command == "eval")
     return model, extra, dataset
 
 
@@ -187,7 +187,8 @@ def cmd_train(args) -> int:
     train_ds, val_ds, test_ds = datasets = run.data.load(run.seed)
     for split, dataset in zip(("train", "val", "test"), datasets):
         if dataset is not None:
-            check_dataset(run.model, dataset, getattr(run.data, split) or f"data.{split}")
+            check_dataset(run.model, dataset, getattr(run.data, split) or f"data.{split}",
+                          scored=split != "train")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", merged)

@@ -14,10 +14,10 @@ them in fixed blocks of about ``_BLOCK_BYTES``, so a block's working set stays
 in cache, on ``worker_count()`` threads: the calling thread and a pool of
 helpers each take the next unclaimed block. The pool is the only parallel
 level: every transform, the kernels' too, runs pocketfft single-threaded,
-scipy's default, and once the pool has run numpy's bundled OpenBLAS stays
-at one thread. The partition depends only on shapes, and each block
-repeats the whole-array arithmetic on its rows, so outputs and the input
-gradient do not depend on the block count. Parameter and kernel-spectrum
+scipy's default, and every pool op holds numpy's bundled OpenBLAS at one
+thread, at every pool size. The partition depends only on shapes, and each
+block repeats the whole-array arithmetic on its rows, so outputs and the
+input gradient do not depend on the block count. Parameter and kernel-spectrum
 gradients are summed per block and then over blocks in block order,
 whichever thread ran each block, so no result depends on the thread count;
 an activation of one block keeps the whole-array sums exactly.
@@ -26,14 +26,15 @@ Dropout draws one keep-mask per block from the caller's generator, in block
 order: the first thread to reach a block's dropout draws, under one lock, the
 masks of every block up to that one. Consecutive draws continue one stream,
 so the masks equal one whole-array draw, and the generator ends where that
-draw leaves it. For backward the op keeps the input, the per-row LN
-statistics, the keep-mask and, per block, the LN output's spectrum, the
-convolution output and the gate; it recomputes only the normalized input.
-Recomputing the FFTs and the gate as well made the backward about 1.4x
-slower at the benchmark's tusz-long layer shape.
+draw leaves it. For backward the op keeps the input, the keep-mask and what
+each block returns when the op is taped: its rows' LN mean and inverse std,
+the LN output's spectrum, the convolution output and the gate. It recomputes
+only the normalized input: recomputing the FFTs and the gate as well made the
+backward about 1.4x slower at the benchmark's tusz-long layer shape.
 
 The row pool also runs the graph learner's per-graph ops (``graphlearn``)
-over blocks of whole graphs, through ``_blocks`` and ``_map_blocks``.
+over blocks of whole graphs, through ``_blocks`` and ``_map_blocks``; each
+op's backward reads what it keeps from the list ``_map_blocks`` returns.
 """
 
 from __future__ import annotations
@@ -101,12 +102,12 @@ def _openblas():
     return None
 
 
-def set_blas_threads(threads: int) -> None:
-    """Cap the loaded OpenBLAS at ``threads``, at most the CPUs this process
-    may run on, as OPENBLAS_NUM_THREADS would at load; a no-op without it."""
+def set_blas_threads() -> None:
+    """Put the loaded OpenBLAS at one thread, as OPENBLAS_NUM_THREADS=1 would
+    at load; a no-op without it."""
     blas = _openblas()
     if blas is not None:
-        blas[1](min(threads, _cpus()))
+        blas[1](1)
 
 
 @functools.cache
@@ -129,13 +130,14 @@ def _map_blocks(fn, n_blocks: int) -> list:
     block, the calling thread and ``workers - 1`` pool threads each take the
     next unclaimed block until none is left, and the caller waits once, for
     the helpers' last blocks."""
+    # OpenBLAS runs one thread on every call, at every pool size: a block's
+    # matmul then sums in one order whatever the worker count, and no idle
+    # OpenBLAS thread busy-waits beside the pool's own
+    set_blas_threads()
     threads = worker_count()
     workers = min(threads, n_blocks)
     if workers == 1:
         return [fn(i) for i in range(n_blocks)]
-    # OpenBLAS is left at one thread: set back to more, its idle threads would
-    # busy-wait through the next pool phase beside the pool's own
-    set_blas_threads(1)
     results = [None] * n_blocks
     claim = itertools.count()  # next() on it is atomic under the GIL
 
@@ -197,8 +199,6 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
         spec += np.conj(rfft(r.data, n=n, axis=-2))
     blocks = _blocks(rows, length * d * x.data.itemsize)
     out = np.empty(xr.shape, dtype)
-    mu = np.empty((rows, length, 1), x.dtype)
-    inv = np.empty_like(mu)
     drawn = 0  # blocks whose keep-masks are drawn
     draw_lock = threading.Lock()
 
@@ -215,11 +215,13 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
     def forward(i):
         rs = blocks[i]
         xb = xr[rs]
-        mu[rs] = xb.mean(axis=-1, keepdims=True)
-        xhat = xb - mu[rs]
+        mu = xb.mean(axis=-1, keepdims=True)
+        xhat = xb - mu
         var = (xhat * xhat).mean(axis=-1, keepdims=True)
-        inv[rs] = 1.0 / np.sqrt(var + _LN_EPS)
-        xhat *= inv[rs]
+        inv = 1.0 / np.sqrt(var + _LN_EPS)
+        xhat *= inv
+        if not taped:  # freed before the block's large arrays, which would pin heap above them
+            del mu, inv
         z = xhat
         z *= gamma.data
         z += beta.data
@@ -236,14 +238,12 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
             glu *= scale
             glu *= keep_of(i).reshape(-1, d)
         np.add(xb, glu.reshape(xb.shape), out=out[rs])
-        if taped:
-            saved[i] = z_spec, y, h
+        return (mu, inv, z_spec, y, h) if taped else None
 
     kernels = (k,) if r is None else (k, r)
     parents = (x,) + kernels + (gamma, beta, w, b)
     taped = T.GRAD_ENABLED and any(t.requires_grad for t in parents)
-    saved = [None] * len(blocks)
-    _map_blocks(forward, len(blocks))
+    saved = _map_blocks(forward, len(blocks))
 
     def bwd(g):
         g = g.reshape(rows, length, d)
@@ -252,9 +252,9 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
 
         def backward(i):
             rs = blocks[i]
-            z_spec, y, h = saved[i]
-            xhat = xr[rs] - mu[rs]
-            xhat *= inv[rs]
+            mu, inv, z_spec, y, h = saved[i]
+            xhat = xr[rs] - mu
+            xhat *= inv
             left, gate = h[:, :d], h[:, d:]
             gh = np.empty_like(h)
             g_left, g_gate = gh[:, :d], gh[:, d:]
@@ -282,7 +282,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
                 mean_gx_xhat = np.multiply(gx, xhat, out=scratch).mean(axis=-1, keepdims=True)
                 gx -= gx.mean(axis=-1, keepdims=True)
                 gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
-                gx *= inv[rs]
+                gx *= inv
                 np.add(g[rs], gx, out=gx_all[rs])
             return parts
 

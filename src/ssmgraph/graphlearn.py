@@ -8,25 +8,26 @@ log-degree connectivity, Frobenius sparsity) shape the learned graphs.
 
 Each stage is one pass where the arithmetic allows: k first-occurrence
 ``argmax`` passes pick the KNN peers (ties go to the lower index, as in a
-stable sort); one tape op, ``attention_weights``, takes Q and K^T to the
-head-averaged softmax of their scores; one mixes, prunes and symmetrizes;
-one gives the regularizers of each graph. The attention and finalize ops
-repeat the elementary ops' arithmetic in the same order, with constants in
-the graph's dtype, so graphs and gradients equal the unfused composition
-bit for bit.
+stable sort); one tape op, ``attention_weights``, takes the projections Q
+and K to the head-averaged softmax of their scores, its heads strided views
+of Q and K; one mixes, prunes and symmetrizes; one gives the regularizers of
+each graph. The attention and finalize ops repeat the elementary ops'
+arithmetic in the same order, with constants in the graph's dtype, so graphs
+and gradients equal the unfused composition bit for bit.
 
 Every graph is independent through these four ops, so each runs forward and
 backward over blocks of whole graphs on the S4 block's row pool
 (``fftconv._blocks`` and ``fftconv._map_blocks``): a block holds about
 ``fftconv._BLOCK_BYTES`` of the op's largest per-graph array, and a call with
-one block runs on the calling thread. For backward, ``attention_weights``
-keeps each block's softmax, ``finalize_adjacency`` the keep-mask of the
-pruning, and ``graph_regularizers`` each block's degrees, scaled embeddings
-and their Gram matrices; ``knn_graph_cosine`` records nothing. Each block
-repeats the whole-array arithmetic on its graphs and writes only its own
-slice of each result, so no value or gradient depends on the block or thread
-count. The Q/K projections stay whole-array ops: their parameter gradients
-sum over graphs.
+one block runs on the calling thread. Each op's block function returns what
+its backward keeps, and the op reads it from the list ``_map_blocks``
+returns: ``attention_weights`` each block's softmax, ``finalize_adjacency``
+the keep-mask of the pruning, and ``graph_regularizers`` each block's
+degrees, scaled embeddings and their Gram matrices; ``knn_graph_cosine``
+records nothing. Each block repeats the whole-array arithmetic on its graphs
+and writes only its own slice of each result, so no value or gradient
+depends on the block or thread count. The Q/K projections stay whole-array
+ops: their parameter gradients sum over graphs.
 """
 
 from __future__ import annotations
@@ -128,69 +129,61 @@ def attention_adjacency(h: Tensor, mq: Tensor, mk: Tensor, heads: int = 1) -> Te
     averaged over heads. ``h`` is (..., N, D); output rows sum to 1.
 
     ``mq`` and ``mk`` are (D, D); head ``i`` uses its own column block, so the
-    parameter count stays 2*D^2 regardless of the head count. The heads are
-    one tensor axis: Q becomes (..., H, N, d_head) and K^T (..., H, d_head, N),
-    and one op, ``attention_weights``, gives the head mean of their scores'
-    softmax.
+    parameter count stays 2*D^2 regardless of the head count.
     """
     d = h.shape[-1]
     if mq.shape != (d, d) or mk.shape != (d, d):
         raise ShapeError(f"projection shapes must be ({d}, {d})")
-    if d % heads != 0:
-        raise ContractError(f"width {d} not divisible by heads {heads}")
-    d_head = d // heads
-    split = h.shape[:-1] + (heads, d_head)                 # (..., N, H, d_head)
-    n = h.ndim - 2                                         # axis of N in ``split``
-    lead = tuple(range(n))
-    q = (h @ mq).reshape(split).transpose(lead + (n + 1, n, n + 2))
-    k_t = (h @ mk).reshape(split).transpose(lead + (n + 1, n + 2, n))
-    return attention_weights(q, k_t, float(np.sqrt(d_head)))
+    return attention_weights(h @ mq, h @ mk, heads)
 
 
-def attention_weights(q, k_t, divisor: float) -> Tensor:
-    """Mean over heads of the last-axis softmax of Q K^T / ``divisor``:
-    q (..., H, N, d) and k_t (..., H, d, N) -> (..., N, N); each output row is
-    nonnegative and sums to 1.
+def attention_weights(q, k, heads: int) -> Tensor:
+    """Mean over heads of the last-axis softmax of Q_i K_i^T / sqrt(d_head):
+    q and k (..., N, D), head i their i-th block of d_head = D / heads
+    columns -> (..., N, N); each output row is nonnegative and sums to 1.
 
-    One op over blocks of whole graphs, for a matmul, a divide, a
+    One op over blocks of whole graphs. The heads are strided views of q and
+    k, (graphs, H, N, d_head) and K^T (graphs, H, d_head, N), and the head
+    gradients are written back through such views. The op stands for a
+    reshape and transpose of each of q and k, a matmul, a divide, a
     max-subtracted softmax, a sum over H and a divide by H, with their
     arithmetic in their order: both constants are 0-d arrays in the scores'
     dtype, as ``_operands`` makes them, and the softmax runs in place on the
-    quotient. Values and gradients therefore equal that five-op composition
-    bit for bit. A block keeps only its softmax for backward.
+    quotient. Values and gradients therefore equal that composition bit for
+    bit. A block keeps only its softmax for backward.
     """
-    q, k_t = T.as_tensor(q), T.as_tensor(k_t)
-    if q.ndim < 3 or k_t.shape != q.shape[:-2] + q.shape[-1:] + q.shape[-2:-1]:
-        raise ShapeError(f"attention_weights needs q (..., H, N, d) and k_t (..., H, d, N), "
-                         f"got {q.shape} and {k_t.shape}")
-    heads, n, d = q.shape[-3:]
-    count = math.prod(q.shape[:-3])
-    qg = q.data.reshape(count, heads, n, d)
-    kg = k_t.data.reshape(count, heads, d, n)
-    dtype = np.result_type(q.dtype, k_t.dtype)
-    scale = np.asarray(divisor, dtype=dtype)
+    q, k = T.as_tensor(q), T.as_tensor(k)
+    if q.ndim < 2 or k.shape != q.shape:
+        raise ShapeError(f"attention_weights needs q and k (..., N, D) of one shape, "
+                         f"got {q.shape} and {k.shape}")
+    n, d = q.shape[-2:]
+    if d % heads != 0:
+        raise ContractError(f"width {d} not divisible by heads {heads}")
+    count = math.prod(q.shape[:-2])
+    split = (count, n, heads, d // heads)
+    qh = q.data.reshape(split).transpose(0, 2, 1, 3)
+    kh_t = k.data.reshape(split).transpose(0, 2, 3, 1)
+    dtype = np.result_type(q.dtype, k.dtype)
+    scale = np.asarray(math.sqrt(d // heads), dtype=dtype)
     n_heads = np.asarray(heads, dtype=dtype)
     blocks = fftconv._blocks(count, heads * n * n * dtype.itemsize)
     out = np.empty((count, n, n), dtype)
-    taped = T.GRAD_ENABLED and (q.requires_grad or k_t.requires_grad)
-    probs = [None] * len(blocks)
 
     def forward(i):
         rs = blocks[i]
-        p = qg[rs] @ kg[rs]
+        p = qh[rs] @ kh_t[rs]
         p /= scale
         T._softmax(p, out=p)
         np.sum(p, axis=-3, out=out[rs])
         out[rs] /= n_heads
-        if taped:
-            probs[i] = p
+        return p
 
-    fftconv._map_blocks(forward, len(blocks))
+    probs = fftconv._map_blocks(forward, len(blocks))
 
     def bwd(g):
         g = g.reshape(count, n, n)
-        gq = np.empty(qg.shape, dtype) if q.requires_grad else None
-        gk = np.empty(kg.shape, dtype) if k_t.requires_grad else None
+        gq = np.empty(split, dtype) if q.requires_grad else None
+        gk = np.empty(split, dtype) if k.requires_grad else None
 
         def backward(i):
             rs, p = blocks[i], probs[i]
@@ -201,17 +194,19 @@ def attention_weights(q, k_t, divisor: float) -> Tensor:
             scratch *= p
             scratch /= scale
             if gq is not None:
-                np.matmul(scratch, np.swapaxes(kg[rs], -1, -2), out=gq[rs])
+                np.matmul(scratch, np.swapaxes(kh_t[rs], -1, -2),
+                          out=gq.transpose(0, 2, 1, 3)[rs])
             if gk is not None:
-                np.matmul(np.swapaxes(qg[rs], -1, -2), scratch, out=gk[rs])
+                np.matmul(np.swapaxes(qh[rs], -1, -2), scratch,
+                          out=gk.transpose(0, 2, 3, 1)[rs])
 
         fftconv._map_blocks(backward, len(blocks))
         if gq is not None:
             q._accum(gq.reshape(q.shape), owned=True)
         if gk is not None:
-            k_t._accum(gk.reshape(k_t.shape), owned=True)
+            k._accum(gk.reshape(k.shape), owned=True)
 
-    return T._record(out.reshape(q.shape[:-3] + (n, n)), (q, k_t), bwd)
+    return T._record(out.reshape(q.shape[:-1] + (n,)), (q, k), bwd)
 
 
 def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
@@ -274,19 +269,19 @@ def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: 
     bar = w_bar.data.reshape(count, n, n)
     knn = np.asarray(w_knn).reshape(count, n, n)
     blocks = fftconv._blocks(count, n * n * max(knn.itemsize, w_bar.data.itemsize))
-    keep = np.empty((count, n, n), bool)
     out = np.empty((count, n, n), w_bar.dtype)
 
     def forward(i):
         rs = blocks[i]
         mixed = np.asarray(knn[rs], dtype=w_bar.dtype) * epsilon
         mixed += bar[rs] * bar_scale
-        np.greater_equal(mixed, kappa, out=keep[rs])
-        mixed[~keep[rs]] = 0.0
+        keep = mixed >= kappa
+        mixed[~keep] = 0.0
         np.add(mixed, np.swapaxes(mixed, -1, -2), out=out[rs])
         out[rs] *= half
+        return keep
 
-    fftconv._map_blocks(forward, len(blocks))
+    keeps = fftconv._map_blocks(forward, len(blocks))
 
     def bwd(g):
         g = g.reshape(count, n, n)
@@ -296,7 +291,7 @@ def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: 
             rs = blocks[i]
             g_half = g[rs] * half
             np.add(g_half, np.swapaxes(g_half, -1, -2), out=g_mixed[rs])
-            g_mixed[rs] *= keep[rs]
+            g_mixed[rs] *= keeps[i]
             g_mixed[rs] *= bar_scale
 
         fftconv._map_blocks(backward, len(blocks))
@@ -324,8 +319,6 @@ def graph_regularizers(h, w) -> Tensor:
     dtype = np.result_type(h.dtype, w.dtype)
     blocks = fftconv._blocks(count, n * n * dtype.itemsize)
     out = np.empty((count, 3), dtype)
-    taped = T.GRAD_ENABLED and (h.requires_grad or w.requires_grad)
-    saved = [None] * len(blocks)
 
     def forward(i):
         rs = blocks[i]
@@ -339,10 +332,9 @@ def graph_regularizers(h, w) -> Tensor:
         out[rs, 0] = ((deg * sq).sum(axis=-1) - (wb * yy).sum(axis=(-1, -2))) / nn
         out[rs, 1] = np.log(guard).sum(axis=-1) / float(-n)
         out[rs, 2] = (wb * wb).sum(axis=(-1, -2)) / nn
-        if taped:
-            saved[i] = deg, guard, inv_sqrt, y, sq, yy
+        return deg, guard, inv_sqrt, y, sq, yy
 
-    fftconv._map_blocks(forward, len(blocks))
+    saved = fftconv._map_blocks(forward, len(blocks))
 
     def bwd(g):
         g = g.reshape(count, 3)
@@ -388,8 +380,6 @@ class GslLayer(Module):
     """Attention-based graph learner over pooled interval embeddings."""
 
     def __init__(self, d_model: int, cfg: GslConfig, rng: np.random.Generator, dtype=np.float64):
-        if d_model % cfg.heads != 0:
-            raise ContractError(f"d_model {d_model} not divisible by heads {cfg.heads}")
         self.cfg = cfg
         sd = d_model ** -0.5
         self.mq = Tensor(rng.normal(0.0, sd, (d_model, d_model)), requires_grad=True, dtype=dtype)

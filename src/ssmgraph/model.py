@@ -84,8 +84,9 @@ class ModelConfig:
                                 f"got [{self.dt_min}, {self.dt_max}]")
         if self.fixed_graph is not None:
             g = np.asarray(self.fixed_graph, dtype=float)
-            if g.shape != (self.n_sensors, self.n_sensors):
-                raise ContractError(f"fixed_graph must be {self.n_sensors}x{self.n_sensors}")
+            if g.shape != (self.n_sensors, self.n_sensors) or not np.all(np.isfinite(g)):
+                raise ContractError(f"fixed_graph must be a finite {self.n_sensors}x"
+                                    f"{self.n_sensors} matrix")
 
     @property
     def np_dtype(self):
@@ -180,7 +181,7 @@ class SsmGraphModel(Module):
         z = self.gin.forward(pooled, w, train=train, rng=rng) if self.gin is not None else pooled
         readout = temporal_graph_readout(z, self.cfg.pool)        # (B, D)
         logits = self.head.forward(readout)
-        return ModelOutput(logits=logits, graphs=w.numpy(), reg_loss=reg)
+        return ModelOutput(logits=logits, graphs=w.data, reg_loss=reg)
 
     def total_loss(self, out: ModelOutput, y) -> Tensor:
         """Prediction loss plus the (already per-graph-averaged) regularization."""

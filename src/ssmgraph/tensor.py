@@ -113,10 +113,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        """Copy of the underlying values, detached from the tape."""
-        return self.data.copy()
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})\n{self.data!r}"

@@ -77,12 +77,13 @@ def collect_outputs(model: SsmGraphModel, dataset: Dataset, batch_size: int = 32
                        graphs=graphs, record_ids=ids, total_loss=total / len(dataset))
 
 
-def check_dataset(cfg: ModelConfig, dataset: Dataset, name: str) -> None:
+def check_dataset(cfg: ModelConfig, dataset: Dataset, name: str, scored: bool = False) -> None:
     """Reject a dataset the model cannot run on, the message led by ``name``
     (a file or a config field): no records; a sensor count or input width
     other than the model's, or a length the interval r does not divide; a
     class index outside the model's classes, or a multi-hot vector of the
-    wrong width."""
+    wrong width; and, if ``scored``, a binary split of one class, on which
+    AUROC and AUPRC are undefined."""
     if not len(dataset):
         raise ValueError(f"{name}: dataset has no records")
     n_classes = 2 if cfg.task == "binary" else cfg.n_classes
@@ -103,6 +104,9 @@ def check_dataset(cfg: ModelConfig, dataset: Dataset, name: str) -> None:
         if not ok:
             raise ValueError(f"{name}: record {rec.record_id}: label {rec.y} does not fit a "
                              f"{cfg.task} model with {n_classes} classes")
+    if scored and cfg.task == "binary" and len({int(rec.y) for rec in dataset.records}) < 2:
+        raise ValueError(f"{name}: every record has label {int(dataset.records[0].y)}; scoring "
+                         f"a binary model needs both classes")
 
 
 def validation_metric(task: str, report: dict) -> float:

@@ -483,6 +483,11 @@ class TestErrors:
         # Python's TypeError from the sum, naming only the section
         (None, ['data.split=["a",0.5]'],
          "data.split: expected 2 or 3 fractions in [0, 1] summing to 1, got ['a', 0.5]"),
+        # each trained a full epoch, then exited 3 on a non-finite training loss
+        (None, ["model.use_gsl=false", "model.fixed_graph=[[1,0,0],[0,1e999,0],[0,0,1]]"],
+         "model: fixed_graph must be a finite 3x3 matrix"),
+        (None, ["model.use_gsl=false", "model.fixed_graph=[[1,0,0],[0,null,0],[0,0,1]]"],
+         "model: fixed_graph must be a finite 3x3 matrix"),
     ])
     def test_bad_run_config_exit_2(self, tiny_run, capsys, config, overrides, message):
         tmp_path, cfg_path, _ = tiny_run
@@ -753,6 +758,48 @@ class TestLabelCheck:
         assert rc == 2
         assert "record r3:" in capsys.readouterr().err
 
+    @staticmethod
+    def binary_file(path, labels):
+        from ssmgraph.data import Dataset, SignalRecord, save_bsg1
+
+        rng = np.random.default_rng(0)
+        records = [SignalRecord(x=rng.normal(size=(3, 16, 1)), y=y, mask=np.ones(16, dtype=bool),
+                                true_length=16, record_id=f"r{i}") for i, y in enumerate(labels)]
+        save_bsg1(Dataset(records=records, task="binary", n_classes=2), path)
+        return str(path)
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_train_one_class_scoring_split_exit_2(self, tmp_path, capsys, split):
+        # AUROC/AUPRC need both classes: a whole epoch (or run) once ended in
+        # exit 2 with a message that named no split
+        both = self.binary_file(tmp_path / "both.bsg1", [0, 1, 0, 1])
+        data = {"train": both, "val": both, "test": both}
+        data[split] = self.binary_file(tmp_path / "one.bsg1", [1, 1, 1])
+        config = {"model": {**self.MODEL, "n_classes": 1, "task": "binary"},
+                  "optim": {"epochs": 1, "warmup_epochs": 0}, "data": data}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 2
+        assert f"{data[split]}: every record has label 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_class_file_exit_2_in_eval_only(self, tmp_path, capsys):
+        # eval once printed the bare AUROC message and left an empty --out;
+        # export-adj scores nothing and accepts the file
+        from ssmgraph.config import parse_model_config
+        from ssmgraph.model import build_model, save_checkpoint
+
+        one = self.binary_file(tmp_path / "one.bsg1", [0, 0, 0])
+        ckpt = tmp_path / "model.gs4m"
+        save_checkpoint(build_model(parse_model_config(self.MODEL), seed=0), ckpt)
+        argv = ["--checkpoint", str(ckpt), "--data", one, "--out"]
+        assert main(["eval"] + argv + [str(tmp_path / "o")]) == 2
+        assert f"{one}: every record has label 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert main(["export-adj"] + argv + [str(tmp_path / "adj")]) == 0
+        assert len(list((tmp_path / "adj").iterdir())) == 3
+
 
 class TestShapeCheck:
     """A dataset whose signals do not fit the model exits 2, naming the first
@@ -887,14 +934,16 @@ for lib in libs:
         assert probe in ([], ["openblas 1"])  # empty where numpy bundles no OpenBLAS
 
     def test_flag_caps_openblas_loaded_before(self):
-        # numpy loads first, sizing its OpenBLAS from the inherited variables
-        out = run_python(f"""
+        # numpy loads first, sizing its OpenBLAS from the inherited variables;
+        # the variables the flag sets come too late, and the model's first
+        # row-pool op puts OpenBLAS at one thread
+        out = run_python("""
 import numpy
 from ssmgraph import fftconv
 from ssmgraph.cli import main
 blas = fftconv._openblas()
 print("before", blas and blas[0]())
-assert main(["--threads", "1"] + {self.PROFILE!r}) == 0
+assert main(["--threads", "1", "gradcheck"]) == 0
 print("after", blas and blas[0]())
 """, **{var: "2" for var in THREAD_VARS})
         probe = dict(line.split() for line in out.splitlines()

@@ -316,17 +316,40 @@ class TestRowBlocks:
         before = get()
         put(2)
         try:
-            monkeypatch.setattr(fftconv, "FFT_WORKERS", 1)  # no pool: OpenBLAS as it was
-            run_block(conv1d_fft, case, True, rng.normal(size=(7, 24, 8)))
-            assert get() == 2 and seen == [2] * 4
-            seen.clear()
-            monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
-            run_block(conv1d_fft, case, True, rng.normal(size=(7, 24, 8)))
-            # the forward gates each of the four blocks once, OpenBLAS at one
-            # thread; it stays there, so its idle threads never spin beside the pool
-            assert get() == 1 and seen == [1] * 4
+            for workers in (1, 2):
+                put(2)
+                seen.clear()
+                monkeypatch.setattr(fftconv, "FFT_WORKERS", workers)
+                run_block(conv1d_fft, case, True, rng.normal(size=(7, 24, 8)))
+                # the forward gates each of the four blocks once, OpenBLAS at one
+                # thread at either pool size; it stays there, so its idle threads
+                # never spin beside the pool
+                assert get() == 1 and seen == [1] * 4, workers
         finally:
             put(before)
+
+    def test_blas_thread_count_changes_no_byte(self, rng, blocks, monkeypatch):
+        # OpenBLAS put to two threads before each call: at 1000 steps a block's
+        # w gradient, y.T @ gh, summed in another order on two BLAS threads
+        # than on one, so one pool worker once gave other bytes than two
+        blas = fftconv._openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        get, put = blas
+        case = block_case(rng, True, np.float32, length=1000, d=16)
+        g = rng.normal(size=case[0].shape).astype(np.float32)
+        blocks(2, length=1000, d=16, itemsize=4)
+        before = get()
+        results = []
+        try:
+            for workers in (1, 2):
+                put(2)
+                monkeypatch.setattr(fftconv, "FFT_WORKERS", workers)
+                out, grads = run_block(conv1d_fft, case, True, g)
+                results.append([out.tobytes()] + [grads[name].tobytes() for name in sorted(grads)])
+        finally:
+            put(before)
+        assert results[0] == results[1]
 
     def test_block_error_raised_once_every_block_has_stopped(self, monkeypatch):
         monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
@@ -405,22 +428,34 @@ def softmax_lastdim_reference(a: Tensor) -> Tensor:
     return T._record(out_data, (a,), bwd)
 
 
-def head_mean_reference(q: Tensor, k_t: Tensor, divisor: float) -> Tensor:
-    """The five elementary ops ``attention_weights`` stands for."""
-    return softmax_lastdim_reference(q @ k_t / divisor).sum(axis=-3) / float(q.shape[-3])
+def head_mean_reference(q: Tensor, k: Tensor, heads: int) -> Tensor:
+    """The tape ops ``attention_weights`` stands for: q and k split into heads
+    by a reshape and a transpose each, the score matmul, the divide by
+    sqrt(d_head), the softmax, the head sum and the divide by H."""
+    d_head = q.shape[-1] // heads
+    split = q.shape[:-1] + (heads, d_head)                 # (..., N, H, d_head)
+    n = q.ndim - 1                                         # axis of H in ``split``
+    lead = tuple(range(n - 1))
+    q_h = q.reshape(split).transpose(lead + (n, n - 1, n + 1))
+    k_t = k.reshape(split).transpose(lead + (n, n + 1, n - 1))
+    scores = q_h @ k_t / float(np.sqrt(d_head))
+    return softmax_lastdim_reference(scores).sum(axis=-3) / float(heads)
 
 
 def weights_of_scores(x, divisor: float) -> Tensor:
-    """``attention_weights`` on scores ``x`` (..., H, N, N), as Q = x and
-    K^T = I: each score is one product by 1 plus products by 0, so exactly x."""
+    """``attention_weights`` on scores ``x`` (..., H, N, N) over ``divisor``:
+    head i of Q is x_i * sqrt(N) / divisor and of K the identity, so each
+    score over sqrt(d_head) = sqrt(N) is x / divisor up to rounding."""
     x = np.asarray(x, dtype=np.float64)
-    return attention_weights(Tensor(x), Tensor(np.broadcast_to(np.eye(x.shape[-1]), x.shape)),
-                             divisor)
+    heads, n = x.shape[-3:-1]
+    q = np.swapaxes(x * (np.sqrt(n) / divisor), -3, -2).reshape(x.shape[:-3] + (n, heads * n))
+    k = np.broadcast_to(np.tile(np.eye(n), heads), q.shape)
+    return attention_weights(Tensor(q), Tensor(k), heads)
 
 
 class TestSoftmax:
     """``attention_weights``: the mean over heads of the last-axis softmax of
-    Q K^T / divisor."""
+    Q_i K_i^T / sqrt(d_head)."""
 
     def test_uniform_on_zeros(self):
         out = weights_of_scores(np.zeros((2, 3, 3)), 1.0)
@@ -464,30 +499,33 @@ class TestSoftmax:
             np.testing.assert_allclose(heads, weights_of_scores(x, 1.0).data, atol=1e-12)
 
     def test_gradcheck(self, rng):
-        q = Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True)
-        k_t = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        # three heads of width 4
+        q = Tensor(rng.normal(size=(2, 5, 12)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 5, 12)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 5, 5)))
 
         def loss():
-            return (attention_weights(q, k_t, 1.7) * w).sum()
+            return (attention_weights(q, k, 3) * w).sum()
 
-        worst, _ = backward_and_gradcheck(loss, {"q": q, "k_t": k_t})
+        worst, _ = backward_and_gradcheck(loss, {"q": q, "k": k})
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape, divisor", [((3, 5, 5), 1.0), ((2, 3, 4, 6, 6), 2.0),
                                                 ((4, 32, 4, 64, 64), float(np.sqrt(8)))])
     def test_matches_unfused_composition(self, rng, dtype, shape, divisor):
-        # same values and gradients, bit for bit, as the score matmul, divide,
-        # softmax, head sum and divide by H, at these score shapes with
-        # d_head = 8 (the last is graph-dense's attention)
-        q = rng.normal(size=shape[:-1] + (8,)).astype(dtype)
-        k_t = rng.normal(size=shape[:-2] + (8, shape[-1])).astype(dtype)
+        # same values and gradients, bit for bit, as the head split, score
+        # matmul, divide, softmax, head sum and divide by H, at these score
+        # shapes (..., H, N, N) with sqrt(d_head) = divisor (the last is
+        # graph-dense's attention)
+        heads, n = shape[-3:-1]
+        q, k = (rng.normal(size=shape[:-3] + (n, heads * round(divisor ** 2))).astype(dtype)
+                for _ in range(2))
         g = rng.normal(size=shape[:-3] + shape[-2:]).astype(dtype)
-        fused_in = [Tensor(a, requires_grad=True) for a in (q, k_t)]
-        ref_in = [Tensor(a, requires_grad=True) for a in (q, k_t)]
-        fused = attention_weights(*fused_in, divisor)
-        ref = head_mean_reference(*ref_in, divisor)
+        fused_in = [Tensor(a, requires_grad=True) for a in (q, k)]
+        ref_in = [Tensor(a, requires_grad=True) for a in (q, k)]
+        fused = attention_weights(*fused_in, heads)
+        ref = head_mean_reference(*ref_in, heads)
         fused.backward(g)
         ref.backward(g)
         assert fused.dtype == ref.dtype == dtype
