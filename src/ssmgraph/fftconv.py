@@ -129,7 +129,7 @@ def _map_blocks(fn, n_blocks: int) -> list:
     """``[fn(i) for i in range(n_blocks)]``. With more than one worker and
     block, the calling thread and ``workers - 1`` pool threads each take the
     next unclaimed block until none is left, and the caller waits once, for
-    the helpers' last blocks."""
+    the helpers' last blocks. Pool ops keep the returned list for backward."""
     # OpenBLAS runs one thread on every call, at every pool size: a block's
     # matmul then sums in one order whatever the worker count, and no idle
     # OpenBLAS thread busy-waits beside the pool's own

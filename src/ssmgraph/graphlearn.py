@@ -142,15 +142,15 @@ def attention_weights(q, k, heads: int) -> Tensor:
     q and k (..., N, D), head i their i-th block of d_head = D / heads
     columns -> (..., N, N); each output row is nonnegative and sums to 1.
 
-    One op over blocks of whole graphs. The heads are strided views of q and
-    k, (graphs, H, N, d_head) and K^T (graphs, H, d_head, N), and the head
-    gradients are written back through such views. The op stands for a
-    reshape and transpose of each of q and k, a matmul, a divide, a
-    max-subtracted softmax, a sum over H and a divide by H, with their
-    arithmetic in their order: both constants are 0-d arrays in the scores'
-    dtype, as ``_operands`` makes them, and the softmax runs in place on the
-    quotient. Values and gradients therefore equal that composition bit for
-    bit. A block keeps only its softmax for backward.
+    One op over blocks of whole graphs. The heads are strided views, Q's
+    (graphs, H, N, d_head) and K^T's (graphs, H, d_head, N), and the head
+    gradients are written back through such views of q's and k's layout.
+    The op stands for a reshape and transpose of each of q and k, a matmul,
+    a divide, a max-subtracted softmax, a sum over H and a divide by H, with
+    their arithmetic in their order: both constants are 0-d arrays in the
+    scores' dtype, as ``_operands`` makes them, and the softmax runs in place
+    on the quotient. Values and gradients therefore equal that composition
+    bit for bit. A block keeps only its softmax for backward.
     """
     q, k = T.as_tensor(q), T.as_tensor(k)
     if q.ndim < 2 or k.shape != q.shape:
