@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -315,7 +316,7 @@ def _parse_checkpoint(raw: bytes) -> tuple[SsmGraphModel, dict]:
         name = need(name_len).decode("utf-8")
         ndim = struct.unpack("<I", need(4))[0]
         shape = tuple(struct.unpack("<I", need(4))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)                        # Python ints: no wrap
         tag = need(2)
         if tag not in CHECKPOINT_DTYPES:
             raise CheckpointError(f"unknown dtype tag {tag!r} of {name!r}")

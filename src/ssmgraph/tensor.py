@@ -423,6 +423,8 @@ def reshape(a, shape) -> Tensor:
 
 
 def transpose(a, axes) -> Tensor:
+    """A C-ordered copy of ``a`` with its axes permuted, so that later ops
+    reshape it without a copy and read it with unit strides."""
     a = as_tensor(a)
     axes = tuple(axes)
     inverse = np.argsort(axes)
@@ -430,7 +432,7 @@ def transpose(a, axes) -> Tensor:
     def bwd(g):
         a._accum(g.transpose(inverse), owned=True)
 
-    return _record(a.data.transpose(axes), (a,), bwd)
+    return _record(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
 
 # -- reductions -----------------------------------------------------------

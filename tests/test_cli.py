@@ -663,6 +663,27 @@ class TestCheckpointContents:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # the dims' product wrapped in int64 to -8,589,934,591: the reader took a
+    # negative-length read and failed to reshape it, naming no byte
+    def test_tensor_size_overflow_exit_2(self, tmp_path, capsys):
+        import struct
+
+        data, ckpt, out = tmp_path / "d.bsg1", tmp_path / "m.gs4m", tmp_path / "o"
+        self.write_data(data, "binary", 1)
+        self.write_checkpoint(ckpt, "binary", 1)
+        raw = ckpt.read_bytes()
+        off = 16 + struct.unpack_from("<I", raw, 8)[0]      # the first tensor's name length
+        off += 4 + struct.unpack_from("<I", raw, off)[0]    # its ndim
+        ndim = struct.unpack_from("<I", raw, off)[0]
+        dims = struct.pack("<III", 2, 2 ** 32 - 1, 2 ** 32 - 1)
+        ckpt.write_bytes(raw[:off] + dims + raw[off + 4 + 4 * ndim:])
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # the values would start after the dims and the 2-byte dtype tag
+        assert f"error: {ckpt}: truncated checkpoint at byte {off + 14}" in err, err
+        assert not out.exists()
+
     # train-val and train-test give train an empty validation or test file:
     # the first left config.json behind, the second trained and wrote a checkpoint
     @pytest.mark.parametrize("command", ["eval", "export-adj", "train-val", "train-test"])

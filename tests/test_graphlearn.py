@@ -80,6 +80,20 @@ class TestIntervalMeanPool:
         ops = Tape.trace(interval_mean_pool(h, 4, mask)).ops
         assert not [op for op in ops if op.bwd.__qualname__.startswith("mul.")]
 
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_pooled_is_c_ordered(self, rng, padded):
+        # the graph stage views pooled as (graphs, N, D) without a copy
+        x = rng.normal(size=(2, 3, 8, 4))
+        mask = np.ones((2, 8))
+        if padded:
+            mask[1, 6:] = 0.0
+        pooled = interval_mean_pool(Tensor(x), 4, mask if padded else None).data
+        assert pooled.flags.c_contiguous
+        assert np.shares_memory(pooled, pooled.reshape(-1, 3, 4))
+        sums = (x * mask[:, None, :, None]).reshape(2, 3, 2, 4, 4).sum(axis=3)
+        counts = mask.reshape(2, 1, 2, 4).sum(axis=3)[..., None]
+        np.testing.assert_allclose(pooled, (sums / counts).transpose(0, 2, 1, 3), atol=1e-14)
+
     def test_fully_padded_interval_rejected(self):
         h = Tensor(np.ones((1, 1, 4, 1)))
         mask = np.array([[1.0, 1.0, 0.0, 0.0]])

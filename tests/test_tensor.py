@@ -428,6 +428,15 @@ def softmax_lastdim_reference(a: Tensor) -> Tensor:
     return T._record(out_data, (a,), bwd)
 
 
+def strided_transpose(a: Tensor, axes) -> Tensor:
+    """A transpose op whose output is a strided view of its input, as
+    ``attention_weights`` splits the heads; the tape's ``transpose`` returns
+    a C-ordered copy, whose matmuls differ in their last bits."""
+    inverse = np.argsort(axes)
+    return T._record(a.data.transpose(axes), (a,),
+                     lambda g: a._accum(g.transpose(inverse), owned=True))
+
+
 def head_mean_reference(q: Tensor, k: Tensor, heads: int) -> Tensor:
     """The tape ops ``attention_weights`` stands for: q and k split into heads
     by a reshape and a transpose each, the score matmul, the divide by
@@ -436,8 +445,8 @@ def head_mean_reference(q: Tensor, k: Tensor, heads: int) -> Tensor:
     split = q.shape[:-1] + (heads, d_head)                 # (..., N, H, d_head)
     n = q.ndim - 1                                         # axis of H in ``split``
     lead = tuple(range(n - 1))
-    q_h = q.reshape(split).transpose(lead + (n, n - 1, n + 1))
-    k_t = k.reshape(split).transpose(lead + (n, n + 1, n - 1))
+    q_h = strided_transpose(q.reshape(split), lead + (n, n - 1, n + 1))
+    k_t = strided_transpose(k.reshape(split), lead + (n, n + 1, n - 1))
     scores = q_h @ k_t / float(np.sqrt(d_head))
     return softmax_lastdim_reference(scores).sum(axis=-3) / float(heads)
 
