@@ -24,13 +24,19 @@ an activation of one block keeps the whole-array sums exactly.
 
 Dropout draws one keep-mask per block from the caller's generator, in block
 order: the first thread to reach a block's dropout draws, under one lock, the
-masks of every block up to that one. Consecutive draws continue one stream,
-so the masks equal one whole-array draw, and the generator ends where that
-draw leaves it. For backward the op keeps the input, the keep-mask and what
-each block returns when the op is taped: its rows' LN mean and inverse std,
-the LN output's spectrum, the convolution output and the gate. It recomputes
-only the normalized input: recomputing the FFTs and the gate as well made the
-backward about 1.4x slower at the benchmark's tusz-long layer shape.
+masks of every block up to that one. Consecutive draws continue one stream, so
+the masks equal one whole-array draw, and the generator ends where that draw
+leaves it. For backward the op keeps the input, the keep-mask, the convolution
+output as one (rows, L, D) array, and what each block returns when the op is
+taped: its rows' LN mean and inverse std, the LN output's spectrum, and the
+GLU's left half beside its sigmoid gate. It recomputes only the normalized
+input: recomputing the FFTs and the gate as well made the backward about 1.4x
+slower at the benchmark's tusz-long layer shape. Each backward block writes
+its results into what it kept: the GLU gradient into the halves, the
+kernel-spectrum product into the LN spectrum, and, once the ``w`` gradient has
+read the convolution output's rows, the input gradient over them, so that
+array becomes ``x.grad``. The kept state is consumed, so the backward runs
+once; a second call raises ``ContractError``.
 
 The row pool also runs the graph learner's per-graph ops (``graphlearn``)
 over blocks of whole graphs, through ``_blocks`` and ``_map_blocks``; each
@@ -158,6 +164,11 @@ def _map_blocks(fn, n_blocks: int) -> list:
     return results
 
 
+def _times(a, b):
+    """``a * b``, written into ``a`` where the product's dtype is a's."""
+    return np.multiply(a, b, out=a if a.dtype == np.result_type(a, b) else None)
+
+
 def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0.0,
                rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
     """``x + dropout(glu(conv(LN(x) * mask)))`` for x (..., L, D) as one op.
@@ -228,8 +239,10 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
         if mr is not None:
             z *= mr[rs]
         z_spec = rfft(z, n=n, axis=-2)
-        y = np.ascontiguousarray(irfft(z_spec * spec, n=n, axis=-2)[:, :length],
-                                 dtype=x.dtype).reshape(-1, d)
+        prod = z_spec * spec if taped else _times(z_spec, spec)
+        y = np.empty(xb.shape, x.dtype) if ys is None else ys[rs]
+        np.copyto(y, irfft(prod, n=n, axis=-2)[:, :length])
+        y = y.reshape(-1, d)
         h = y @ w.data
         h += b.data
         _sigmoid(h[:, d:], out=h[:, d:])
@@ -238,52 +251,62 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
             glu *= scale
             glu *= keep_of(i).reshape(-1, d)
         np.add(xb, glu.reshape(xb.shape), out=out[rs])
-        return (mu, inv, z_spec, y, h) if taped else None
+        return (mu, inv, z_spec, h) if taped else None
 
     kernels = (k,) if r is None else (k, r)
     parents = (x,) + kernels + (gamma, beta, w, b)
     taped = T.GRAD_ENABLED and any(t.requires_grad for t in parents)
+    # the convolution output's rows; backward writes x's gradient over them
+    ys = np.empty(xr.shape, x.dtype) if taped else None
     saved = _map_blocks(forward, len(blocks))
 
     def bwd(g):
+        nonlocal saved
+        if saved is None:
+            raise ContractError("conv1d_fft's backward consumes what its forward kept; "
+                                "it runs once per graph")
+        kept, saved = saved, None
         g = g.reshape(rows, length, d)
         want_k = any(t.requires_grad for t in kernels)
-        gx_all = np.empty_like(xr) if x.requires_grad else None
+        conj_spec = np.conj(spec)
 
         def backward(i):
             rs = blocks[i]
-            mu, inv, z_spec, y, h = saved[i]
+            mu, inv, z_spec, h = kept[i]
+            kept[i] = None  # each kept array is freed once this block is done with it
+            y = ys[rs].reshape(-1, d)
             xhat = xr[rs] - mu
             xhat *= inv
-            left, gate = h[:, :d], h[:, d:]
-            gh = np.empty_like(h)
-            g_left, g_gate = gh[:, :d], gh[:, d:]
+            left, gate = h[:, :d], h[:, d:]  # h becomes gh: g_left over left, g_gate over gate
             g_units = g[rs].reshape(-1, d)
-            if keep is not None:  # g_gate is scratch until g_left is formed
-                g_units = np.multiply(g_units, keep[rs].reshape(-1, d), out=g_gate)
+            if keep is not None:
+                g_units = g_units * keep[rs].reshape(-1, d)
                 g_units *= scale
-            np.multiply(g_units, gate, out=g_left)
-            np.subtract(1.0, gate, out=g_gate)
-            g_gate *= g_left
-            g_gate *= left
-            parts = {"w": y.T @ gh, "b": gh.sum(axis=0)}
-            g_spec = rfft((gh @ w.data.T).reshape(xhat.shape), n=n, axis=-2)
+            g_left = g_units * gate
+            np.subtract(1.0, gate, out=gate)
+            gate *= g_left
+            gate *= left
+            np.copyto(left, g_left)
+            parts = {"w": y.T @ h, "b": h.sum(axis=0)}
+            g_spec = rfft((h @ w.data.T).reshape(xhat.shape), n=n, axis=-2)
             if want_k:
-                parts["spec"] = (np.conj(z_spec) * g_spec).sum(axis=0)
-            g_spec *= np.conj(spec)
+                parts["spec"] = _times(np.conj(z_spec, out=z_spec), g_spec).sum(axis=0)
+            del h, left, gate, g_units, g_left, z_spec
+            g_spec *= conj_spec
             gz = np.ascontiguousarray(irfft(g_spec, n=n, axis=-2)[:, :length], dtype=x.dtype)
+            del g_spec
             if mr is not None:
                 gz *= mr[rs]
             scratch = gz * xhat
             parts["gamma"] = scratch.reshape(-1, d).sum(axis=0)
             parts["beta"] = gz.reshape(-1, d).sum(axis=0)
-            if gx_all is not None:
+            if x.requires_grad:
                 gx = gz * gamma.data
                 mean_gx_xhat = np.multiply(gx, xhat, out=scratch).mean(axis=-1, keepdims=True)
                 gx -= gx.mean(axis=-1, keepdims=True)
                 gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
                 gx *= inv
-                np.add(g[rs], gx, out=gx_all[rs])
+                np.add(g[rs], gx, out=ys[rs])
             return parts
 
         parts = _map_blocks(backward, len(blocks))
@@ -304,7 +327,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
                 k._accum(inverse(prod), owned=True)
             if r is not None and r.requires_grad:
                 r._accum(inverse(np.conj(prod, out=prod)), owned=True)
-        if gx_all is not None:
-            x._accum(gx_all.reshape(x.shape), owned=True)
+        if x.requires_grad:
+            x._accum(ys.reshape(x.shape), owned=True)
 
     return _record(out.reshape(x.shape), parents, bwd)

@@ -13,7 +13,9 @@ and its backward rule, and backward leaves each interior node's ``grad`` in
 place, so a step's activations and interior gradients live exactly as long
 as something holds its loss or outputs. ``train.train_loop`` drops both when
 a step ends; only parameters, their ``grad`` and the optimizer's moments
-outlive it.
+outlive it. An op's backward may consume what its forward kept (the fused S4
+block, ``fftconv.conv1d_fft``, writes its gradients into those buffers), so
+a graph is backpropagated once.
 
 Allocator policy: one step frees hundreds of megabytes of activations and the
 next allocates the same sizes again. By default glibc serves arrays above its

@@ -10,6 +10,7 @@ import os
 import platform
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -350,6 +351,38 @@ class TestRowBlocks:
         finally:
             put(before)
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_backward_runs_once(self, rng, blocks, train):
+        # the backward writes its results into the buffers its forward kept, so
+        # a second pass would read gradients where it expects activations
+        x, k, k_rev, params, mask = block_case(rng, True)
+        blocks(2)
+        loss = block(x, k, k_rev, params, mask, 0.3, np.random.default_rng(11), train).sum()
+        loss.backward()
+        with pytest.raises(ContractError, match="conv1d_fft"):
+            loss.backward()
+
+    def test_backward_writes_into_kept_buffers(self, rng, monkeypatch):
+        # one-row blocks on one thread: the backward's own peak, above what the
+        # forward kept, is each block's scratch and the parameter sums, not a
+        # fresh whole-array input gradient or a second copy of the GLU halves
+        rows, length, d = 32, 256, 32
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 1)
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", length * d * 8)
+        x, k, _, params, _ = block_case(rng, False, np.float64, rows, length, d)
+        g = rng.normal(size=x.shape)
+        tracemalloc.start()
+        try:
+            out = block(x, k, None, params, None, 0.3, np.random.default_rng(11), True)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 1.29 whole arrays here, 4.60 when the backward allocated its own
+        assert (peak - kept) / x.data.nbytes < 2.0
 
     def test_block_error_raised_once_every_block_has_stopped(self, monkeypatch):
         monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
