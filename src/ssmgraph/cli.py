@@ -129,10 +129,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(path, data: str | bytes) -> None:
+    """Write ``data`` to a temporary file in ``path``'s directory, then move it
+    over ``path`` with ``os.replace``: a kill or a failed write leaves the
+    previous file whole and no temporary file behind, never a torn output."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_output(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_checkpoint_and_data(args):
@@ -200,8 +213,8 @@ def cmd_train(args) -> int:
 
     extra = {"thresholds": result.thresholds, "best_epoch": result.best_epoch,
              "val_metric": result.best_metric, "seed": run.seed}
-    save_checkpoint(model, out_dir / "checkpoint.gs4m", extra=extra)
-    (out_dir / "history.csv").write_text(result.history_csv())
+    _write_output(out_dir / "checkpoint.gs4m", save_checkpoint(model, None, extra=extra))
+    _write_output(out_dir / "history.csv", result.history_csv())
 
     # version-3 checkpoints round-trip bit for bit, so the in-memory model and
     # the best epoch's validation report are what `eval` of the checkpoint gives

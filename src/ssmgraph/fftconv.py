@@ -22,25 +22,27 @@ gradients are summed per block and then over blocks in block order,
 whichever thread ran each block, so no result depends on the thread count;
 an activation of one block keeps the whole-array sums exactly.
 
-Dropout draws one keep-mask per block from the caller's generator, in block
-order: the first thread to reach a block's dropout draws, under one lock, the
-masks of every block up to that one. Consecutive draws continue one stream, so
-the masks equal one whole-array draw, and the generator ends where that draw
-leaves it. For backward the op keeps the input, the keep-mask, the convolution
-output as one (rows, L, D) array, and what each block returns when the op is
-taped: its rows' LN mean and inverse std, the LN output's spectrum, and the
-GLU's left half beside its sigmoid gate. It recomputes only the normalized
-input: recomputing the FFTs and the gate as well made the backward about 1.4x
-slower at the benchmark's tusz-long layer shape. Each backward block writes
-its results into what it kept: the GLU gradient into the halves, the
+Dropout draws keep-masks from the caller's generator in row order: the first
+thread to reach a block's dropout draws, under one lock and in one draw, the
+masks of every row not drawn yet up to that block's last. Consecutive draws
+continue one stream, so the masks equal one whole-array draw, and the
+generator ends where that draw leaves it.
+
+For backward the op keeps the input, the keep-mask, the convolution output as
+one (rows, L, D) array, and what each block returns when the op is taped: its
+rows' LN mean and inverse std, the LN output's spectrum, and the GLU's left
+half beside its sigmoid gate. It recomputes only the normalized input:
+recomputing the FFTs and the gate as well made the backward about 1.4x slower
+at the benchmark's tusz-long layer shape. Each backward block writes its
+results into what it kept: the GLU gradient into the halves, the
 kernel-spectrum product into the LN spectrum, and, once the ``w`` gradient has
 read the convolution output's rows, the input gradient over them, so that
-array becomes ``x.grad``. The kept state is consumed, so the backward runs
-once; a second call raises ``ContractError``.
+array becomes ``x.grad``.
 
-The row pool also runs the graph learner's per-graph ops (``graphlearn``)
-over blocks of whole graphs, through ``_blocks`` and ``_map_blocks``; each
-op's backward reads what it keeps from the list ``_map_blocks`` returns.
+Every op on the row pool, this one and the graph learner's per-graph ops
+(``graphlearn``) over blocks of whole graphs, runs through ``blocked``: it
+partitions, runs the forward blocks and hands each block's kept state to the
+backward once.
 """
 
 from __future__ import annotations
@@ -132,18 +134,15 @@ def _blocks(count: int, item_bytes: int) -> list[slice]:
 
 
 def _map_blocks(fn, n_blocks: int) -> list:
-    """``[fn(i) for i in range(n_blocks)]``. With more than one worker and
-    block, the calling thread and ``workers - 1`` pool threads each take the
-    next unclaimed block until none is left, and the caller waits once, for
-    the helpers' last blocks. Pool ops keep the returned list for backward."""
+    """``[fn(i) for i in range(n_blocks)]``. The calling thread and, with more
+    than one worker and block, up to ``workers - 1`` pool threads each take
+    the next unclaimed block until none is left, and the caller waits once,
+    for the helpers' last blocks. Pool ops call it through ``blocked``."""
     # OpenBLAS runs one thread on every call, at every pool size: a block's
     # matmul then sums in one order whatever the worker count, and no idle
     # OpenBLAS thread busy-waits beside the pool's own
     set_blas_threads()
     threads = worker_count()
-    workers = min(threads, n_blocks)
-    if workers == 1:
-        return [fn(i) for i in range(n_blocks)]
     results = [None] * n_blocks
     claim = itertools.count()  # next() on it is atomic under the GIL
 
@@ -153,8 +152,8 @@ def _map_blocks(fn, n_blocks: int) -> list:
                 return
             results[i] = fn(i)
 
-    pool = _pool(threads - 1)
-    helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    # no pool is made or waited on when one worker or one block runs
+    helpers = [_pool(threads - 1).submit(drain) for _ in range(min(threads, n_blocks) - 1)]
     try:
         drain()
     finally:
@@ -162,6 +161,31 @@ def _map_blocks(fn, n_blocks: int) -> list:
     for helper in helpers:
         helper.result()  # re-raises a helper's exception
     return results
+
+
+def blocked(name: str, count: int, item_bytes: int, forward):
+    """Run a row-pool op's ``forward(rs)`` on every block ``rs`` of ``count``
+    items (``_blocks``) on the pool, and return the op's block backward,
+    ``backward(fn)``.
+
+    What ``forward`` returns for a block is what that block keeps.
+    ``backward(fn)`` runs ``fn(rs, kept)`` on every block on the pool and
+    returns the results in block order. Each block's kept state is dropped as
+    it is handed over, so it is freed block by block, the way
+    ``ctx.save_for_backward`` state is after one backward in PyTorch. A second
+    call raises ``ContractError`` naming the op."""
+    blocks = _blocks(count, item_bytes)
+    kept = _map_blocks(lambda i: forward(blocks[i]), len(blocks))
+
+    def backward(fn):
+        nonlocal kept
+        if kept is None:
+            raise ContractError(f"{name}'s backward consumes what its forward kept; "
+                                "it runs once per graph")
+        held, kept = dict(enumerate(kept)), None  # pop() hands each state over once
+        return _map_blocks(lambda i: fn(blocks[i], held.pop(i)), len(blocks))
+
+    return backward
 
 
 def _times(a, b):
@@ -208,23 +232,22 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
     spec = rfft(k.data, n=n, axis=-2)
     if r is not None:
         spec += np.conj(rfft(r.data, n=n, axis=-2))
-    blocks = _blocks(rows, length * d * x.data.itemsize)
     out = np.empty(xr.shape, dtype)
-    drawn = 0  # blocks whose keep-masks are drawn
+    drawn = 0  # rows whose keep-masks are drawn
     draw_lock = threading.Lock()
 
-    def keep_of(i):
-        """Block i's keep-mask. The first thread to need it also draws each
-        earlier block's not drawn yet, so masks are drawn in block order."""
+    def keep_of(rs):
+        """The rows ``rs``' keep-mask. The first thread to need it draws every
+        row not drawn yet up to ``rs.stop`` in one draw, so masks are drawn
+        in row order."""
         nonlocal drawn
         with draw_lock:
-            while drawn <= i:
-                keep[blocks[drawn]] = _keep_mask(keep[blocks[drawn]].shape, p, rng, dtype)
-                drawn += 1
-        return keep[blocks[i]]
+            if drawn < rs.stop:
+                keep[drawn:rs.stop] = _keep_mask(keep[drawn:rs.stop].shape, p, rng, dtype)
+                drawn = rs.stop
+        return keep[rs]
 
-    def forward(i):
-        rs = blocks[i]
+    def forward(rs):
         xb = xr[rs]
         mu = xb.mean(axis=-1, keepdims=True)
         xhat = xb - mu
@@ -249,7 +272,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
         glu = h[:, :d] * h[:, d:]
         if keep is not None:
             glu *= scale
-            glu *= keep_of(i).reshape(-1, d)
+            glu *= keep_of(rs).reshape(-1, d)
         np.add(xb, glu.reshape(xb.shape), out=out[rs])
         return (mu, inv, z_spec, h) if taped else None
 
@@ -258,22 +281,15 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
     taped = T.GRAD_ENABLED and any(t.requires_grad for t in parents)
     # the convolution output's rows; backward writes x's gradient over them
     ys = np.empty(xr.shape, x.dtype) if taped else None
-    saved = _map_blocks(forward, len(blocks))
+    consume = blocked("conv1d_fft", rows, length * d * x.data.itemsize, forward)
 
     def bwd(g):
-        nonlocal saved
-        if saved is None:
-            raise ContractError("conv1d_fft's backward consumes what its forward kept; "
-                                "it runs once per graph")
-        kept, saved = saved, None
         g = g.reshape(rows, length, d)
         want_k = any(t.requires_grad for t in kernels)
         conj_spec = np.conj(spec)
 
-        def backward(i):
-            rs = blocks[i]
-            mu, inv, z_spec, h = kept[i]
-            kept[i] = None  # each kept array is freed once this block is done with it
+        def backward(rs, kept):
+            mu, inv, z_spec, h = kept
             y = ys[rs].reshape(-1, d)
             xhat = xr[rs] - mu
             xhat *= inv
@@ -291,7 +307,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
             g_spec = rfft((h @ w.data.T).reshape(xhat.shape), n=n, axis=-2)
             if want_k:
                 parts["spec"] = _times(np.conj(z_spec, out=z_spec), g_spec).sum(axis=0)
-            del h, left, gate, g_units, g_left, z_spec
+            del kept, h, left, gate, g_units, g_left, z_spec  # freed before the inverse FFT
             g_spec *= conj_spec
             gz = np.ascontiguousarray(irfft(g_spec, n=n, axis=-2)[:, :length], dtype=x.dtype)
             del g_spec
@@ -309,7 +325,7 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
                 np.add(g[rs], gx, out=ys[rs])
             return parts
 
-        parts = _map_blocks(backward, len(blocks))
+        parts = consume(backward)
 
         def summed(name):  # in block order, whichever thread ran each block
             return functools.reduce(np.add, [part[name] for part in parts])

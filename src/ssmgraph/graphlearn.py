@@ -16,18 +16,17 @@ arithmetic in the same order, with constants in the graph's dtype, so graphs
 and gradients equal the unfused composition bit for bit.
 
 Every graph is independent through these four ops, so each runs forward and
-backward over blocks of whole graphs on the S4 block's row pool
-(``fftconv._blocks`` and ``fftconv._map_blocks``): a block holds about
-``fftconv._BLOCK_BYTES`` of the op's largest per-graph array, and a call with
-one block runs on the calling thread. Each op's block function returns what
-its backward keeps, and the op reads it from the list ``_map_blocks``
-returns: ``attention_weights`` each block's softmax, ``finalize_adjacency``
-the keep-mask of the pruning, and ``graph_regularizers`` each block's
-degrees, scaled embeddings and their Gram matrices; ``knn_graph_cosine``
-records nothing. Each block repeats the whole-array arithmetic on its graphs
-and writes only its own slice of each result, so no value or gradient
-depends on the block or thread count. The Q/K projections stay whole-array
-ops: their parameter gradients sum over graphs.
+backward over blocks of whole graphs on the S4 block's row pool, through
+``fftconv.blocked``: a block holds about ``fftconv._BLOCK_BYTES`` of the op's
+largest per-graph array, and what a forward block returns its backward block
+receives once. ``attention_weights`` keeps each block's softmax,
+``finalize_adjacency`` the keep-mask of the pruning, and
+``graph_regularizers`` each block's degrees, scaled embeddings and their Gram
+matrices; ``knn_graph_cosine`` records nothing. Each block repeats the
+whole-array arithmetic on its graphs and writes only its own slice of each
+result, so no value or gradient depends on the block or thread count. The
+Q/K projections stay whole-array ops: their parameter gradients sum over
+graphs.
 """
 
 from __future__ import annotations
@@ -166,11 +165,9 @@ def attention_weights(q, k, heads: int) -> Tensor:
     dtype = np.result_type(q.dtype, k.dtype)
     scale = np.asarray(math.sqrt(d // heads), dtype=dtype)
     n_heads = np.asarray(heads, dtype=dtype)
-    blocks = fftconv._blocks(count, heads * n * n * dtype.itemsize)
     out = np.empty((count, n, n), dtype)
 
-    def forward(i):
-        rs = blocks[i]
+    def forward(rs):
         p = qh[rs] @ kh_t[rs]
         p /= scale
         T._softmax(p, out=p)
@@ -178,15 +175,14 @@ def attention_weights(q, k, heads: int) -> Tensor:
         out[rs] /= n_heads
         return p
 
-    probs = fftconv._map_blocks(forward, len(blocks))
+    consume = fftconv.blocked("attention_weights", count, heads * n * n * dtype.itemsize, forward)
 
     def bwd(g):
         g = g.reshape(count, n, n)
         gq = np.empty(split, dtype) if q.requires_grad else None
         gk = np.empty(split, dtype) if k.requires_grad else None
 
-        def backward(i):
-            rs, p = blocks[i], probs[i]
+        def backward(rs, p):
             g_head = (g[rs] / n_heads)[:, None, :, :]
             scratch = g_head * p
             dot = scratch.sum(axis=-1, keepdims=True)
@@ -200,7 +196,7 @@ def attention_weights(q, k, heads: int) -> Tensor:
                 np.matmul(np.swapaxes(qh[rs], -1, -2), scratch,
                           out=gk.transpose(0, 2, 3, 1)[rs])
 
-        fftconv._map_blocks(backward, len(blocks))
+        consume(backward)
         if gq is not None:
             q._accum(gq.reshape(q.shape), owned=True)
         if gk is not None:
@@ -227,12 +223,11 @@ def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
         raise ContractError(f"knn_k must satisfy 1 <= k < N={n}, got {k}")
     count = math.prod(h.shape[:-2])
     graphs = h.reshape((count,) + h.shape[-2:])
-    blocks = fftconv._blocks(count, n * n * 8)
     out = np.empty((count, n, n))
     idx = np.arange(n)
 
-    def block(i):
-        hb = np.asarray(graphs[blocks[i]], dtype=np.float64)
+    def block(rs):
+        hb = np.asarray(graphs[rs], dtype=np.float64)
         norms = np.linalg.norm(hb, axis=-1, keepdims=True)
         unit = np.divide(hb, norms, out=np.zeros_like(hb), where=norms > 0)
         sim = unit @ np.swapaxes(unit, -1, -2)
@@ -242,9 +237,9 @@ def knn_graph_cosine(h: np.ndarray, k: int) -> np.ndarray:
             pick = np.argmax(sim, axis=-1, keepdims=True)
             np.put_along_axis(w, pick, 1.0, axis=-1)
             np.put_along_axis(sim, pick, -np.inf, axis=-1)
-        np.maximum(w, np.swapaxes(w, -1, -2), out=out[blocks[i]])
+        np.maximum(w, np.swapaxes(w, -1, -2), out=out[rs])
 
-    fftconv._map_blocks(block, len(blocks))
+    fftconv.blocked("knn_graph_cosine", count, n * n * 8, block)
     return out.reshape(h.shape[:-1] + (n,))
 
 
@@ -268,11 +263,9 @@ def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: 
     count = math.prod(w_bar.shape[:-2])
     bar = w_bar.data.reshape(count, n, n)
     knn = np.asarray(w_knn).reshape(count, n, n)
-    blocks = fftconv._blocks(count, n * n * max(knn.itemsize, w_bar.data.itemsize))
     out = np.empty((count, n, n), w_bar.dtype)
 
-    def forward(i):
-        rs = blocks[i]
+    def forward(rs):
         mixed = np.asarray(knn[rs], dtype=w_bar.dtype) * epsilon
         mixed += bar[rs] * bar_scale
         keep = mixed >= kappa
@@ -281,20 +274,20 @@ def finalize_adjacency(w_bar: Tensor, w_knn: np.ndarray, epsilon: float, kappa: 
         out[rs] *= half
         return keep
 
-    keeps = fftconv._map_blocks(forward, len(blocks))
+    consume = fftconv.blocked("finalize_adjacency", count,
+                              n * n * max(knn.itemsize, w_bar.data.itemsize), forward)
 
     def bwd(g):
         g = g.reshape(count, n, n)
         g_mixed = np.empty_like(g)
 
-        def backward(i):
-            rs = blocks[i]
+        def backward(rs, keep):
             g_half = g[rs] * half
             np.add(g_half, np.swapaxes(g_half, -1, -2), out=g_mixed[rs])
-            g_mixed[rs] *= keeps[i]
+            g_mixed[rs] *= keep
             g_mixed[rs] *= bar_scale
 
-        fftconv._map_blocks(backward, len(blocks))
+        consume(backward)
         w_bar._accum(g_mixed.reshape(w_bar.shape), owned=True)
 
     return T._record(out.reshape(w_bar.shape), (w_bar,), bwd)
@@ -317,11 +310,9 @@ def graph_regularizers(h, w) -> Tensor:
     hg = h.data.reshape(count, n, h.shape[-1])
     wg = w.data.reshape(count, n, n)
     dtype = np.result_type(h.dtype, w.dtype)
-    blocks = fftconv._blocks(count, n * n * dtype.itemsize)
     out = np.empty((count, 3), dtype)
 
-    def forward(i):
-        rs = blocks[i]
+    def forward(rs):
         wb = wg[rs]
         deg = wb.sum(axis=-1)
         guard = deg + ((deg == 0.0) * DEG_EPS).astype(w.dtype)
@@ -334,16 +325,15 @@ def graph_regularizers(h, w) -> Tensor:
         out[rs, 2] = (wb * wb).sum(axis=(-1, -2)) / nn
         return deg, guard, inv_sqrt, y, sq, yy
 
-    saved = fftconv._map_blocks(forward, len(blocks))
+    consume = fftconv.blocked("graph_regularizers", count, n * n * dtype.itemsize, forward)
 
     def bwd(g):
         g = g.reshape(count, 3)
         gh = np.empty(hg.shape, dtype) if h.requires_grad else None
         gw = np.empty(wg.shape, dtype) if w.requires_grad else None
 
-        def backward(i):
-            rs = blocks[i]
-            deg, guard, inv_sqrt, y, sq, yy = saved[i]
+        def backward(rs, kept):
+            deg, guard, inv_sqrt, y, sq, yy = kept
             wb, gb = wg[rs], g[rs]
             a = gb[:, :1] / nn                                   # (b, 1)
             d_y = (deg + deg)[..., None] * y
@@ -356,7 +346,7 @@ def graph_regularizers(h, w) -> Tensor:
                 gwb -= yy * a[..., None]
                 gwb += row[..., None]
 
-        fftconv._map_blocks(backward, len(blocks))
+        consume(backward)
         if gh is not None:
             h._accum(gh.reshape(h.shape), owned=True)
         if gw is not None:

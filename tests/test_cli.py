@@ -554,6 +554,50 @@ class TestErrors:
         assert rc == 2
         assert "Is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_failed_write_keeps_previous_outputs(self, tiny_run, monkeypatch, capsys, command):
+        # eval's JSON and train's outputs were written over the final path, so
+        # a write that failed halfway left a torn file in its place
+        import builtins
+
+        import ssmgraph.cli
+
+        tmp_path, cfg_path, data_path = tiny_run
+        run_dir = tmp_path / "run"
+        argv = ["train", "--config", str(cfg_path), "--out", str(run_dir), "--quiet"]
+        assert main(argv) == 0
+        if command == "eval":
+            out = tmp_path / "eval"
+            argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.gs4m"),
+                    "--data", str(data_path), "--out", str(out)]
+            assert main(argv) == 0
+        else:
+            out = run_dir
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        real_open = builtins.open
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("No space left on device")
+
+        monkeypatch.setattr(ssmgraph.cli, "open",
+                            lambda *args, **kwargs: HalfWrite(real_open(*args, **kwargs)),
+                            raising=False)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_bad_dataset_file_exit_2(self, tmp_path):
         junk = tmp_path / "junk.bsg1"
         junk.write_bytes(b"not a dataset")

@@ -3,6 +3,7 @@ pruning/symmetrization, and the three regularizers."""
 
 import itertools
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -518,6 +519,43 @@ class TestGraphBlocks:
             attention_weights(Tensor(q), Tensor(k), 2)
         # the other eleven blocks ran to the end before the call raised
         assert finished == [1] * 11
+
+    @pytest.mark.parametrize("op", ["attention_weights", "finalize_adjacency",
+                                    "graph_regularizers"])
+    def test_backward_runs_once(self, monkeypatch, op):
+        # a second backward once ran again on the kept state and doubled
+        # every gradient it reached
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", 1)  # one graph a block
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.uniform(size=(6, 5, 5)), requires_grad=True)
+        b = Tensor(rng.uniform(size=(6, 5, 5)), requires_grad=True)
+        out = {"attention_weights": lambda: attention_weights(a, b, 1),
+               "finalize_adjacency": lambda: finalize_adjacency(a, b.data, 0.5, 0.4),
+               "graph_regularizers": lambda: graph_regularizers(a, b)}[op]()
+        loss = out.sum()
+        loss.backward()
+        with pytest.raises(ContractError, match=op):
+            loss.backward()
+
+    def test_backward_frees_kept_state(self, monkeypatch):
+        # each block's softmax, kept for backward, is dropped during backward,
+        # not when the whole graph is
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", 1)  # one graph a block
+        softmax, kept = T._softmax, []
+
+        def spy(z, out=None):
+            result = softmax(z, out=out)
+            kept.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(T, "_softmax", spy)
+        rng = np.random.default_rng(0)
+        q = Tensor(rng.normal(size=(6, 5, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(6, 5, 4)), requires_grad=True)
+        loss = attention_weights(q, k, 2).sum()
+        assert len(kept) == 6 and all(ref() is not None for ref in kept)
+        loss.backward()
+        assert all(ref() is None for ref in kept)
 
 
 class TestGslLayer:
