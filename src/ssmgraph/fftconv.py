@@ -18,9 +18,10 @@ scipy's default, and every pool op holds numpy's bundled OpenBLAS at one
 thread, at every pool size. The partition depends only on shapes, and each
 block repeats the whole-array arithmetic on its rows, so outputs and the
 input gradient do not depend on the block count. Parameter and kernel-spectrum
-gradients are summed per block and then over blocks in block order,
-whichever thread ran each block, so no result depends on the thread count;
-an activation of one block keeps the whole-array sums exactly.
+gradients are summed per block and then, as the blocks land, into running
+totals in block order, whichever thread ran each block, so no result depends
+on the thread count; an activation of one block keeps the whole-array sums
+exactly.
 
 Dropout draws keep-masks from the caller's generator in row order: the first
 thread to reach a block's dropout draws, under one lock and in one draw, the
@@ -28,21 +29,27 @@ masks of every row not drawn yet up to that block's last. Consecutive draws
 continue one stream, so the masks equal one whole-array draw, and the
 generator ends where that draw leaves it.
 
-For backward the op keeps the input, the keep-mask, the convolution output as
-one (rows, L, D) array, and what each block returns when the op is taped: its
-rows' LN mean and inverse std, the LN output's spectrum, and the GLU's left
-half beside its sigmoid gate. It recomputes only the normalized input:
-recomputing the FFTs and the gate as well made the backward about 1.4x slower
-at the benchmark's tusz-long layer shape. Each backward block writes its
-results into what it kept: the GLU gradient into the halves, the
-kernel-spectrum product into the LN spectrum, and, once the ``w`` gradient has
-read the convolution output's rows, the input gradient over them, so that
-array becomes ``x.grad``.
+For backward the op keeps its input, its output, the keep-mask, the
+convolution output as one (rows, L, D) array, and each block's rows' LN mean
+and inverse std; the taped forward multiplies the kernel spectrum into the LN
+spectrum in place, as the untaped one does. Each backward block rebuilds what
+was dropped with the forward's own operations on the same rows, so its bits
+do not change: the normalized input, the GLU's left half beside its sigmoid
+gate, and, only when a kernel needs a gradient, the LN output and its rfft.
+At the benchmark's tusz-long layer shape, (38, 1000, 128) float32 in train
+mode on 2 workers, that made the forward 99 -> 81 ms and the backward 111 ->
+141 ms, and cut what a layer keeps besides its input and output from 103 to
+24 MB (a rebuild of both forward FFTs as well was about 1.4x slower than
+keeping everything). Each backward block writes its results into what it
+uses: the GLU gradient over the rebuilt halves, the kernel-spectrum product
+over the rebuilt LN spectrum, and, once the ``w`` gradient has read the
+convolution output's rows, the input gradient over them, so that array
+becomes ``x.grad``.
 
 Every op on the row pool, this one and the graph learner's per-graph ops
 (``graphlearn``) over blocks of whole graphs, runs through ``blocked``: it
-partitions, runs the forward blocks and hands each block's kept state to the
-backward once.
+partitions, runs the forward blocks, hands each block's kept state to the
+backward once and sums the backward blocks' partials as they land.
 """
 
 from __future__ import annotations
@@ -169,11 +176,18 @@ def blocked(name: str, count: int, item_bytes: int, forward):
     ``backward(fn)``.
 
     What ``forward`` returns for a block is what that block keeps.
-    ``backward(fn)`` runs ``fn(rs, kept)`` on every block on the pool and
-    returns the results in block order. Each block's kept state is dropped as
-    it is handed over, so it is freed block by block, the way
-    ``ctx.save_for_backward`` state is after one backward in PyTorch. A second
-    call raises ``ContractError`` naming the op."""
+    ``backward(fn)`` runs ``fn(rs, kept)`` on every block on the pool. Each
+    block's kept state is dropped as it is handed over, so it is freed block
+    by block, the way ``ctx.save_for_backward`` state is after one backward in
+    PyTorch. A second call raises ``ContractError`` naming the op.
+
+    ``fn`` returns its block's partials as a dict of arrays by name, or None.
+    ``backward`` returns their totals by name: each block's partials are
+    added into running totals as soon as every earlier block's are in, so
+    the totals are ``functools.reduce(np.add, ...)`` over the blocks in block
+    order, bit for bit, whichever thread ran each block and in whatever order
+    they finished. Only partials that land before an earlier block's wait.
+    The first block's partials become the totals, added into in place."""
     blocks = _blocks(count, item_bytes)
     kept = _map_blocks(lambda i: forward(blocks[i]), len(blocks))
 
@@ -183,14 +197,28 @@ def blocked(name: str, count: int, item_bytes: int, forward):
             raise ContractError(f"{name}'s backward consumes what its forward kept; "
                                 "it runs once per graph")
         held, kept = dict(enumerate(kept)), None  # pop() hands each state over once
-        return _map_blocks(lambda i: fn(blocks[i], held.pop(i)), len(blocks))
+        totals, landed, lock = {}, {}, threading.Lock()
+        summed = 0  # blocks whose partials are in the totals
+
+        def run(i):
+            nonlocal summed
+            parts = fn(blocks[i], held.pop(i))
+            with lock:
+                landed[i] = parts
+                while summed in landed:
+                    for key, part in (landed.pop(summed) or {}).items():
+                        totals[key] = _into(np.add, totals[key], part) if key in totals else part
+                    summed += 1
+
+        _map_blocks(run, len(blocks))
+        return totals
 
     return backward
 
 
-def _times(a, b):
-    """``a * b``, written into ``a`` where the product's dtype is a's."""
-    return np.multiply(a, b, out=a if a.dtype == np.result_type(a, b) else None)
+def _into(ufunc, a, b):
+    """``ufunc(a, b)``, written into ``a`` where the result's dtype is a's."""
+    return ufunc(a, b, out=a if a.dtype == np.result_type(a, b) else None)
 
 
 def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0.0,
@@ -247,6 +275,22 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
                 drawn = rs.stop
         return keep[rs]
 
+    def glu_halves(y):
+        """The GLU's left half beside its sigmoid gate, ``y @ w + b`` gated."""
+        h = y @ w.data
+        h += b.data
+        _sigmoid(h[:, d:], out=h[:, d:])
+        return h
+
+    def ln_output(z, rs):
+        """The rows ``rs``' LN output from their normalized input ``z``,
+        written into it: ``z * gamma + beta``, times the mask."""
+        z *= gamma.data
+        z += beta.data
+        if mr is not None:
+            z *= mr[rs]
+        return z
+
     def forward(rs):
         xb = xr[rs]
         mu = xb.mean(axis=-1, keepdims=True)
@@ -256,25 +300,18 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
         xhat *= inv
         if not taped:  # freed before the block's large arrays, which would pin heap above them
             del mu, inv
-        z = xhat
-        z *= gamma.data
-        z += beta.data
-        if mr is not None:
-            z *= mr[rs]
-        z_spec = rfft(z, n=n, axis=-2)
-        prod = z_spec * spec if taped else _times(z_spec, spec)
+        prod = _into(np.multiply, rfft(ln_output(xhat, rs), n=n, axis=-2), spec)
+        del xhat
         y = np.empty(xb.shape, x.dtype) if ys is None else ys[rs]
         np.copyto(y, irfft(prod, n=n, axis=-2)[:, :length])
-        y = y.reshape(-1, d)
-        h = y @ w.data
-        h += b.data
-        _sigmoid(h[:, d:], out=h[:, d:])
+        del prod
+        h = glu_halves(y.reshape(-1, d))
         glu = h[:, :d] * h[:, d:]
         if keep is not None:
             glu *= scale
             glu *= keep_of(rs).reshape(-1, d)
         np.add(xb, glu.reshape(xb.shape), out=out[rs])
-        return (mu, inv, z_spec, h) if taped else None
+        return (mu, inv) if taped else None
 
     kernels = (k,) if r is None else (k, r)
     parents = (x,) + kernels + (gamma, beta, w, b)
@@ -289,8 +326,11 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
         conj_spec = np.conj(spec)
 
         def backward(rs, kept):
-            mu, inv, z_spec, h = kept
+            # what the forward dropped is rebuilt here by its own operations on
+            # the same rows, so it has the forward's bits
+            mu, inv = kept
             y = ys[rs].reshape(-1, d)
+            h = glu_halves(y)
             xhat = xr[rs] - mu
             xhat *= inv
             left, gate = h[:, :d], h[:, d:]  # h becomes gh: g_left over left, g_gate over gate
@@ -303,11 +343,14 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
             gate *= g_left
             gate *= left
             np.copyto(left, g_left)
+            del g_units, g_left, left, gate
             parts = {"w": y.T @ h, "b": h.sum(axis=0)}
             g_spec = rfft((h @ w.data.T).reshape(xhat.shape), n=n, axis=-2)
+            del h
             if want_k:
-                parts["spec"] = _times(np.conj(z_spec, out=z_spec), g_spec).sum(axis=0)
-            del kept, h, left, gate, g_units, g_left, z_spec  # freed before the inverse FFT
+                z_spec = rfft(ln_output(xhat.copy(), rs), n=n, axis=-2)
+                parts["spec"] = _into(np.multiply, np.conj(z_spec, out=z_spec), g_spec).sum(axis=0)
+                del z_spec  # freed before the inverse FFT
             g_spec *= conj_spec
             gz = np.ascontiguousarray(irfft(g_spec, n=n, axis=-2)[:, :length], dtype=x.dtype)
             del g_spec
@@ -325,16 +368,12 @@ def conv1d_fft(x, kernel, kernel_rev, gamma, beta, w, b, mask=None, p: float = 0
                 np.add(g[rs], gx, out=ys[rs])
             return parts
 
-        parts = consume(backward)
-
-        def summed(name):  # in block order, whichever thread ran each block
-            return functools.reduce(np.add, [part[name] for part in parts])
-
+        totals = consume(backward)
         for name, param in (("w", w), ("b", b), ("gamma", gamma), ("beta", beta)):
             if param.requires_grad:
-                param._accum(summed(name), owned=True)
+                param._accum(totals[name], owned=True)
         if want_k:
-            prod = summed("spec")
+            prod = totals["spec"]
 
             def inverse(spectrum):
                 return np.ascontiguousarray(irfft(spectrum, n=n, axis=-2)[:length])

@@ -322,10 +322,10 @@ class TestRowBlocks:
                 seen.clear()
                 monkeypatch.setattr(fftconv, "FFT_WORKERS", workers)
                 run_block(conv1d_fft, case, True, rng.normal(size=(7, 24, 8)))
-                # the forward gates each of the four blocks once, OpenBLAS at one
-                # thread at either pool size; it stays there, so its idle threads
-                # never spin beside the pool
-                assert get() == 1 and seen == [1] * 4, workers
+                # the forward gates each of the four blocks once and the backward
+                # gates each again, OpenBLAS at one thread at either pool size; it
+                # stays there, so its idle threads never spin beside the pool
+                assert get() == 1 and seen == [1] * 8, workers
         finally:
             put(before)
 
@@ -365,8 +365,9 @@ class TestRowBlocks:
 
     def test_backward_writes_into_kept_buffers(self, rng, monkeypatch):
         # one-row blocks on one thread: the backward's own peak, above what the
-        # forward kept, is each block's scratch and the parameter sums, not a
-        # fresh whole-array input gradient or a second copy of the GLU halves
+        # forward kept, is each block's scratch and the running parameter sums,
+        # not a fresh whole-array input gradient, a whole copy of the GLU
+        # halves or every block's kernel-spectrum partial at once
         rows, length, d = 32, 256, 32
         monkeypatch.setattr(fftconv, "FFT_WORKERS", 1)
         monkeypatch.setattr(fftconv, "_BLOCK_BYTES", length * d * 8)
@@ -381,8 +382,29 @@ class TestRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 1.29 whole arrays here, 4.60 when the backward allocated its own
+        # measured 1.40 whole arrays here, 3.47 when the rebuilt spectra's
+        # partials were summed only once every block was done, and 4.60 when
+        # the backward allocated its own input gradient and GLU gradient
         assert (peak - kept) / x.data.nbytes < 2.0
+
+    def test_forward_keeps_output_conv_output_and_mask(self, rng, monkeypatch):
+        # a taped train-mode forward keeps its output, the convolution output,
+        # the keep-mask and each row's LN mean and inverse std; the LN spectrum
+        # and the GLU halves are rebuilt in backward
+        rows, length, d = 32, 256, 32
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 1)
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", length * d * 8)
+        x, k, _, params, _ = block_case(rng, False, np.float64, rows, length, d)
+        tracemalloc.start()
+        try:
+            out = block(x, k, None, params, None, 0.3, np.random.default_rng(11), True)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # measured 2.26 whole arrays, 6.28 when the forward kept the LN
+        # spectrum and the GLU halves
+        assert kept / x.data.nbytes < 2.5
 
     def test_block_error_raised_once_every_block_has_stopped(self, monkeypatch):
         monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
@@ -400,6 +422,31 @@ class TestRowBlocks:
         # and the call returns only once both have stopped
         assert sorted(ran) == [i for i in range(40) if i != 2]
         assert fftconv._map_blocks(lambda i: i * i, 5) == [0, 1, 4, 9, 16]
+
+    def test_backward_totals_in_block_order_as_blocks_land(self, monkeypatch):
+        # block 0 waits until block 2 has run, so with two workers the blocks
+        # land as 1, 2, 0; float64 partials whose sum depends on the order of
+        # the adds: (1.0 + 1e16) - 1e16 is 0.0, (1e16 - 1e16) + 1.0 is 1.0
+        monkeypatch.setattr(fftconv, "FFT_WORKERS", 2)
+        monkeypatch.setattr(fftconv, "_BLOCK_BYTES", 8)
+        values = [1.0, 1e16, -1e16]
+        last_ran = threading.Event()
+        landed = []
+
+        def partials(rs, kept):
+            if rs.start == 0:
+                assert last_ran.wait(10)
+            elif rs.start == 2:
+                last_ran.set()
+            landed.append(rs.start)
+            return {"v": np.array([kept]), "twice": np.array([2 * kept])}
+
+        totals = fftconv.blocked("order", 3, 8, lambda rs: values[rs.start])(partials)
+        assert landed == [1, 2, 0]
+        for name, scale in (("v", 1), ("twice", 2)):
+            expected = functools.reduce(np.add, [np.array([scale * v]) for v in values])
+            assert totals[name].tobytes() == expected.tobytes(), name
+        assert totals["v"][0] == 0.0
 
     def test_transforms_looked_up_on_calling_thread_with_length(self, rng, blocks, monkeypatch):
         # a benchmark may stand in for scipy.fft here; it must only ever be
